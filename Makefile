@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help check build vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
+.PHONY: all help check build vet bench-vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
 
 all: build vet test race
 
@@ -14,7 +14,7 @@ all: build vet test race
 # BENCH_sim.json; LOAD_GATE=1 does the same for service latency/throughput
 # against BENCH_serve.json (both off by default so the gate never flakes a
 # loaded box).
-check: vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke
+check: vet bench-vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
@@ -28,6 +28,8 @@ help:
 	@echo "  check         vet + build + test (the tier-1 CI gate)"
 	@echo "  build         go build ./..."
 	@echo "  vet           go vet ./..."
+	@echo "  bench-vet     go vet the layerbench module (its own go.mod, so"
+	@echo "                the root build and vet never compile it)"
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
 	@echo "  chaos         crash-recovery suite under -race: WAL replay, torn"
@@ -193,6 +195,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# layerbench/ is its own module, so the root build and vet never compile
+# it: a signature it depends on breaking would surface only when the
+# benchmark runs. Offline, outside any workspace, like layerbench/run.sh.
+bench-vet:
+	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
 
 test:
 	$(GO) test ./...

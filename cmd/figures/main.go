@@ -100,7 +100,7 @@ func run(scaleStr, id, out string, progress bool, ckptDir string, resume bool) e
 		}
 		fmt.Printf("=== %s: %s ===\n%s\n\n", exp.ID, exp.Title, exp.Notes)
 		if progress {
-			// The sweep collector invokes this serially, so a bare \r
+			// The sweep serializes Progress calls, so a bare \r
 			// rewrite is safe; the final newline lands before the tables.
 			exp.Progress = func(done, total int) {
 				fmt.Fprintf(os.Stderr, "\r%s: %d/%d runs", exp.ID, done, total)

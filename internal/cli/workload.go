@@ -25,7 +25,6 @@ type Workload struct {
 	Drain   int64
 	Reps    int
 	Floor   bool
-	Exec    string
 }
 
 // Register installs the workload flags on fs with starsim's defaults.
@@ -42,7 +41,6 @@ func (w *Workload) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&w.Drain, "drain", 4000, "drain slots")
 	fs.IntVar(&w.Reps, "reps", 3, "replications per sweep point")
 	fs.BoolVar(&w.Floor, "floor", false, "use the paper's floor(n/4) distance model")
-	fs.StringVar(&w.Exec, "exec", "batched", "replication dispatch: batched or sequential (bit-identical results)")
 }
 
 // Experiment resolves the flags into an experiment with the given labels.
@@ -69,14 +67,6 @@ func (w *Workload) Experiment(id, title string) (*sweep.Experiment, error) {
 	if w.Floor {
 		model = balance.PaperFloorDistance
 	}
-	exec := sweep.ExecBatched
-	switch w.Exec {
-	case "", "batched":
-	case "sequential":
-		exec = sweep.ExecSequential
-	default:
-		return nil, fmt.Errorf("unknown -exec mode %q (want batched or sequential)", w.Exec)
-	}
 	if title == "" {
 		title = fmt.Sprintf("%s on %s", w.Scheme, w.Shape)
 	}
@@ -87,6 +77,5 @@ func (w *Workload) Experiment(id, title string) (*sweep.Experiment, error) {
 		Length:  length, Model: model,
 		Warmup: w.Warmup, Measure: w.Measure, Drain: w.Drain,
 		Reps: w.Reps, BaseSeed: w.Seed,
-		Execution: exec,
 	}, nil
 }

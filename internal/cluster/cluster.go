@@ -628,88 +628,33 @@ func (c *Coordinator) releaseLease(ws *workerState) {
 	ws.mu.Unlock()
 }
 
-// gather collects sub-job results under first-terminal-write-wins: the
-// first complete record set delivered for a sub-job key is folded in
-// (journaled, checkpointed, counted into progress); anything after it —
-// typically a slow worker answering after its lease expired and the sub-job
-// was re-dispatched — is discarded and counted as a duplicate.
-type gather struct {
-	c     *Coordinator
-	exp   *sweep.Experiment
-	fp    string
-	ckpt  *sweep.CheckpointWriter
-	total int
-
-	mu      sync.Mutex
-	records map[sweep.RepKey]sweep.RepRecord
-	done    map[string]bool // sub-job key -> folded
-	reps    int
-	ckptErr error
+// fleetJob is what one RunJob's sub-job supervisors share: the gather they
+// deliver into, the job's fingerprint for the lease journal, and the
+// canonical spec workers — and the local fallback — decode.
+type fleetJob struct {
+	g    *sweep.Gather
+	fp   string
+	spec []byte
 }
 
-// expectedKeys builds the record keys a sub-job must deliver.
-func expectedKeys(sj sweep.Subjob) map[sweep.RepKey]bool {
-	want := make(map[sweep.RepKey]bool, len(sj.Reps))
-	for _, rep := range sj.Reps {
-		want[sweep.RepKey{Scheme: sj.Scheme, Rho: sj.Rho, Rep: rep}] = true
-	}
-	return want
-}
-
-// recordsMatch reports whether recs is exactly the record set sj must
-// deliver: one record per replication, no extras, no strays. This is the
-// fold's last line of defense against corrupt-but-decodable responses, so
-// it is fuzzed (FuzzWireDecode) alongside the wire decoding itself.
-func recordsMatch(sj sweep.Subjob, recs []sweep.RepRecord) bool {
-	want := expectedKeys(sj)
-	if len(recs) != len(want) {
-		return false
-	}
-	for _, rec := range recs {
-		if !want[rec.Key()] {
-			return false
+// deliver folds one sub-job result through the shared gather and keeps the
+// fleet's own books around it: the lease journal's done record and the
+// cache-hit counter for a winning delivery, the duplicate counter for a
+// losing one (typically a slow worker answering after its lease expired
+// and the sub-job was re-dispatched). A malformed record set is an error.
+func (c *Coordinator) deliver(j *fleetJob, sj sweep.Subjob, key string, recs []sweep.RepRecord, cached bool) (bool, error) {
+	won, err := j.g.Deliver(sj, recs)
+	switch {
+	case err != nil:
+	case !won:
+		c.cfg.Metrics.Add("subjob_duplicates", 1)
+	default:
+		if cached {
+			c.cfg.Metrics.Add("subjob_cache_hits", 1)
 		}
-		delete(want, rec.Key())
+		c.journalLease(fleetRecord{Op: fleetOpDone, FP: j.fp, Key: key})
 	}
-	return true
-}
-
-// deliver folds one sub-job's records. It reports whether this delivery won
-// (false for duplicates and malformed record sets).
-func (g *gather) deliver(sj sweep.Subjob, key string, recs []sweep.RepRecord, cached bool) bool {
-	if !recordsMatch(sj, recs) {
-		return false
-	}
-
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.done[key] {
-		g.c.cfg.Metrics.Add("subjob_duplicates", 1)
-		return false
-	}
-	g.done[key] = true
-	if cached {
-		g.c.cfg.Metrics.Add("subjob_cache_hits", 1)
-	}
-	for _, rec := range recs {
-		g.records[rec.Key()] = rec
-		if g.ckpt != nil && g.ckptErr == nil {
-			g.ckptErr = g.ckpt.Append(rec)
-		}
-		g.reps++
-		if g.exp.Progress != nil {
-			g.exp.Progress(g.reps, g.total)
-		}
-	}
-	g.c.journalLease(fleetRecord{Op: fleetOpDone, FP: g.fp, Key: key})
-	return true
-}
-
-// isDone reports whether a sub-job has already been folded.
-func (g *gather) isDone(key string) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.done[key]
+	return won, err
 }
 
 // journalLease appends to the lease journal, logging (not failing) on
@@ -730,15 +675,14 @@ func (c *Coordinator) adoptedAddr(fp, key string) string {
 	return addr
 }
 
-// RunJob executes an experiment across the fleet: decompose into sub-jobs
-// (skipping replications already in the checkpoint journal), scatter under
-// leases, gather with first-terminal-write-wins, and assemble in index
-// order. It honors the experiment's Checkpoint/Resume fields exactly like
-// sweep.Experiment.Run, so the serve layer's crash recovery — WAL replay
-// re-running the job, checkpoint replay skipping finished replications —
-// works unchanged when the execution engine is the fleet. The returned
-// Result is byte-identical (through serve's deterministic encoding) to a
-// single-node run of the same experiment.
+// RunJob executes an experiment across the fleet: sweep.Execute with the
+// lease, hedge and breaker supervisor as its executor. Checkpoint/Resume,
+// first-write-wins folding and index-order assembly are Execute's, exactly
+// as for sweep.Experiment.Run, so the serve layer's crash recovery — WAL
+// replay re-running the job, checkpoint replay skipping finished
+// replications — works unchanged when the execution engine is the fleet,
+// and the returned Result is byte-identical (through serve's deterministic
+// encoding) to a single-node run of the same experiment.
 func (c *Coordinator) RunJob(exp *sweep.Experiment) (*sweep.Result, error) {
 	if err := exp.Validate(); err != nil {
 		return nil, err
@@ -751,112 +695,26 @@ func (c *Coordinator) RunJob(exp *sweep.Experiment) (*sweep.Result, error) {
 			return nil, fmt.Errorf("cluster: stamping spec: %w", err)
 		}
 	}
-	ctx := exp.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	fp := exp.JournalFingerprint()
 	specJSON, err := spec.Canonical(exp)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: canonicalizing spec: %w", err)
 	}
-	start := time.Now()
-
-	// Checkpoint replay/create, mirroring sweep.Run.
-	records := make(map[sweep.RepKey]sweep.RepRecord)
-	var ckpt *sweep.CheckpointWriter
-	if exp.Checkpoint != "" {
-		if exp.Resume {
-			resumed, validLen, found, err := sweep.LoadCheckpoint(exp.Checkpoint, fp)
-			if err != nil {
-				return nil, err
-			}
-			if found {
-				records = resumed
-				ckpt, err = sweep.OpenCheckpointAppend(exp.Checkpoint, validLen)
-			} else {
-				ckpt, err = sweep.CreateCheckpoint(exp.Checkpoint, fp)
-			}
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			if ckpt, err = sweep.CreateCheckpoint(exp.Checkpoint, fp); err != nil {
-				return nil, err
-			}
+	fp := exp.JournalFingerprint()
+	res, err := exp.Execute(c.cfg.MaxInflight, func(int) sweep.Executor {
+		return func(ctx context.Context, sj sweep.Subjob, g *sweep.Gather) error {
+			return c.superviseSubjob(ctx, &fleetJob{g: g, fp: fp, spec: specJSON}, sj)
 		}
-		defer ckpt.Close()
-	}
-	resumed := len(records)
-
-	subjobs, err := exp.Subjobs(func(k sweep.RepKey) bool {
-		_, ok := records[k]
-		return ok
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, sj := range subjobs {
-		total += len(sj.Reps)
-	}
-
-	g := &gather{
-		c: c, exp: exp, fp: fp, ckpt: ckpt, total: total,
-		records: records,
-		done:    make(map[string]bool),
-	}
-
-	sem := make(chan struct{}, c.cfg.MaxInflight)
-	var wg sync.WaitGroup
-	var failMu sync.Mutex
-	var failErr error
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	fail := func(err error) {
-		failMu.Lock()
-		if failErr == nil {
-			failErr = err
-			cancelRun() // one dead sub-job fails the attempt; stop the rest
-		}
-		failMu.Unlock()
-	}
-
-	for _, sj := range subjobs {
-		wg.Add(1)
-		go func(sj sweep.Subjob) {
-			defer wg.Done()
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-runCtx.Done():
-				return
-			}
-			if err := c.superviseSubjob(runCtx, g, specJSON, sj); err != nil {
-				fail(err)
-			}
-		}(sj)
-	}
-	wg.Wait()
-	if failErr != nil {
-		return nil, failErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	ckptErr := g.ckptErr
-	folded := g.reps
-	g.mu.Unlock()
-	if ckptErr != nil {
-		return nil, fmt.Errorf("cluster: writing checkpoint: %w", ckptErr)
-	}
-	// Fold accounting for the load harness: folded must equal expected on
-	// every completed job, or a duplicate slipped past first-write-wins
-	// (double-fold) or a record set went missing.
-	c.cfg.Metrics.Add("cluster_reps_folded", int64(folded))
-	c.cfg.Metrics.Add("cluster_reps_expected", int64(total))
-	return exp.Assemble(records, resumed, time.Since(start)), nil
+	// Fold accounting for the load harness. Execute fails a job unless
+	// every replication it dispatched folded exactly once, so on success
+	// the two counts agree.
+	n := int64(len(exp.Schemes)*len(exp.Rhos)*exp.Reps - res.ResumedReps)
+	c.cfg.Metrics.Add("cluster_reps_folded", n)
+	c.cfg.Metrics.Add("cluster_reps_expected", n)
+	return res, nil
 }
 
 // callOutcome is one sub-job call's result.
@@ -893,7 +751,7 @@ func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key
 // worker's eventual timeout must open its breaker even when the sub-job
 // already completed elsewhere. abort cancels the calls up front (job
 // teardown); otherwise they run to their own SubjobTimeout.
-func (c *Coordinator) drainCalls(g *gather, sj sweep.Subjob, key string, ch <-chan callOutcome, pending int, cancels []context.CancelFunc, abort bool) {
+func (c *Coordinator) drainCalls(j *fleetJob, sj sweep.Subjob, key string, ch <-chan callOutcome, pending int, cancels []context.CancelFunc, abort bool) {
 	if abort {
 		for _, cancel := range cancels {
 			cancel()
@@ -912,7 +770,7 @@ func (c *Coordinator) drainCalls(g *gather, sj sweep.Subjob, key string, ch <-ch
 			switch {
 			case res.err == nil:
 				c.noteSuccess(res.ws, res.took)
-				if g.deliver(sj, key, res.resp.Records, res.resp.Cached) && res.hedge {
+				if won, _ := c.deliver(j, sj, key, res.resp.Records, res.resp.Cached); won && res.hedge {
 					c.cfg.Metrics.Add("hedge_wins", 1)
 				}
 			case errors.Is(res.err, context.Canceled):
@@ -934,28 +792,28 @@ func (c *Coordinator) drainCalls(g *gather, sj sweep.Subjob, key string, ch <-ch
 // running (their late results hit the duplicate-discard path). When no
 // eligible worker remains, the sub-job runs locally: the job outlives the
 // fleet.
-func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON []byte, sj sweep.Subjob) error {
+func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep.Subjob) error {
 	key := sj.Key()
-	prefer := c.adoptedAddr(g.fp, key)
+	prefer := c.adoptedAddr(j.fp, key)
 	avoid := ""
 	var lastErr error
 	for attempt := 1; attempt <= c.cfg.SubjobRetries; attempt++ {
-		if g.isDone(key) {
+		if j.g.Folded(sj) {
 			return nil // a late delivery from an expired lease beat us to it
 		}
 		ws, err := c.pickWorker(ctx, prefer, avoid)
 		prefer = ""
 		if errors.Is(err, errNoEligible) {
-			return c.runLocal(ctx, g, specJSON, sj, key)
+			return c.runLocal(ctx, j, sj, key)
 		}
 		if err != nil {
 			return err
 		}
-		c.journalLease(fleetRecord{Op: fleetOpGrant, FP: g.fp, Key: key, Addr: ws.addr, Attempt: attempt})
+		c.journalLease(fleetRecord{Op: fleetOpGrant, FP: j.fp, Key: key, Addr: ws.addr, Attempt: attempt})
 		c.cfg.Metrics.Add("subjobs_dispatched", 1)
 
 		resCh := make(chan callOutcome, 2)
-		cancels := []context.CancelFunc{c.startCall(g.fp, specJSON, sj, key, ws, false, resCh)}
+		cancels := []context.CancelFunc{c.startCall(j.fp, j.spec, sj, key, ws, false, resCh)}
 		pending := 1
 		var hedgeTimer *time.Timer
 		var hedgeC <-chan time.Time
@@ -980,19 +838,19 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 				pending--
 				c.releaseLease(res.ws)
 				if res.err == nil {
-					won := g.deliver(sj, key, res.resp.Records, res.resp.Cached)
-					if won || g.isDone(key) {
+					won, err := c.deliver(j, sj, key, res.resp.Records, res.resp.Cached)
+					if err == nil {
 						c.noteSuccess(res.ws, res.took)
 						if won && res.hedge {
 							c.cfg.Metrics.Add("hedge_wins", 1)
 						}
 						stopTimers()
-						c.drainCalls(g, sj, key, resCh, pending, cancels, false)
+						c.drainCalls(j, sj, key, resCh, pending, cancels, false)
 						return nil
 					}
 					// Decodable but wrong record set: a corrupt response
 					// that survived JSON framing. Score it as a failure.
-					res.err = fmt.Errorf("cluster: worker %s returned a malformed record set for %s", res.ws.addr, key)
+					res.err = fmt.Errorf("cluster: worker %s: %w", res.ws.addr, err)
 				}
 				c.noteFailure(res.ws)
 				lastErr = res.err
@@ -1002,7 +860,7 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 					continue // a hedge (or the primary) is still in flight; give it its chance
 				}
 				stopTimers()
-				c.journalLease(fleetRecord{Op: fleetOpExpire, FP: g.fp, Key: key, Attempt: attempt})
+				c.journalLease(fleetRecord{Op: fleetOpExpire, FP: j.fp, Key: key, Attempt: attempt})
 				c.cfg.Metrics.Add("subjobs_redispatched", 1)
 				next = true
 
@@ -1013,9 +871,9 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 					continue // nobody to hedge to; the lease still guards us
 				}
 				c.cfg.Metrics.Add("chaos_hedges_total", 1)
-				c.journalLease(fleetRecord{Op: fleetOpGrant, FP: g.fp, Key: key, Addr: hws.addr, Attempt: attempt})
+				c.journalLease(fleetRecord{Op: fleetOpGrant, FP: j.fp, Key: key, Addr: hws.addr, Attempt: attempt})
 				c.logf("cluster: hedging sub-job %s to %s (straggler on %s)", key, hws.addr, ws.addr)
-				cancels = append(cancels, c.startCall(g.fp, specJSON, sj, key, hws, true, resCh))
+				cancels = append(cancels, c.startCall(j.fp, j.spec, sj, key, hws, true, resCh))
 				pending++
 
 			case <-lease.C:
@@ -1023,23 +881,23 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 				// hand the sub-job to another worker. Whichever result lands
 				// first wins; losers are discarded and counted.
 				stopTimers()
-				c.journalLease(fleetRecord{Op: fleetOpExpire, FP: g.fp, Key: key, Attempt: attempt})
+				c.journalLease(fleetRecord{Op: fleetOpExpire, FP: j.fp, Key: key, Attempt: attempt})
 				c.cfg.Metrics.Add("leases_expired", 1)
 				c.cfg.Metrics.Add("subjobs_redispatched", 1)
 				c.logf("cluster: lease on sub-job %s expired at %s (attempt %d); re-dispatching", key, ws.addr, attempt)
-				c.drainCalls(g, sj, key, resCh, pending, cancels, false)
+				c.drainCalls(j, sj, key, resCh, pending, cancels, false)
 				lastErr = fmt.Errorf("cluster: lease expired on %s", ws.addr)
 				avoid = ws.addr
 				next = true
 
 			case <-ctx.Done():
 				stopTimers()
-				c.drainCalls(g, sj, key, resCh, pending, cancels, true)
+				c.drainCalls(j, sj, key, resCh, pending, cancels, true)
 				return ctx.Err()
 			}
 		}
 	}
-	if g.isDone(key) {
+	if j.g.Folded(sj) {
 		return nil
 	}
 	// An exhausted dispatch budget usually means the failures were the
@@ -1051,7 +909,7 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 	// failing an accepted job.
 	deadline := c.cfg.now().Add(c.cfg.DegradeAfter)
 	for {
-		if g.isDone(key) {
+		if j.g.Folded(sj) {
 			return nil
 		}
 		c.mu.Lock()
@@ -1059,7 +917,7 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 		eligible := c.anyEligibleLocked(c.cfg.now())
 		c.mu.Unlock()
 		if degraded || !eligible {
-			return c.runLocal(ctx, g, specJSON, sj, key)
+			return c.runLocal(ctx, j, sj, key)
 		}
 		if !c.cfg.now().Before(deadline) {
 			break
@@ -1078,8 +936,8 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, g *gather, specJSON [
 // empty. The accepted job's contract survives the fleet vanishing: the
 // records are identical to a worker's because both sides decode the same
 // canonical spec and run the same sweep.RunSubjob.
-func (c *Coordinator) runLocal(ctx context.Context, g *gather, specJSON []byte, sj sweep.Subjob, key string) error {
-	if g.isDone(key) {
+func (c *Coordinator) runLocal(ctx context.Context, j *fleetJob, sj sweep.Subjob, key string) error {
+	if j.g.Folded(sj) {
 		return nil
 	}
 	c.mu.Lock()
@@ -1090,8 +948,8 @@ func (c *Coordinator) runLocal(ctx context.Context, g *gather, specJSON []byte, 
 	if first {
 		c.logf("cluster: no eligible workers; running sub-jobs locally")
 	}
-	c.journalLease(fleetRecord{Op: fleetOpGrant, FP: g.fp, Key: key, Addr: "local", Attempt: 1})
-	exp, err := spec.Decode(specJSON)
+	c.journalLease(fleetRecord{Op: fleetOpGrant, FP: j.fp, Key: key, Addr: "local", Attempt: 1})
+	exp, err := spec.Decode(j.spec)
 	if err == nil {
 		err = spec.Stamp(exp)
 	}
@@ -1105,8 +963,8 @@ func (c *Coordinator) runLocal(ctx context.Context, g *gather, specJSON []byte, 
 	}
 	c.cfg.Metrics.Add("subjobs_local", 1)
 	c.cfg.Metrics.Add("cluster_reps_local", int64(len(recs)))
-	if !g.deliver(sj, key, recs, false) && !g.isDone(key) {
-		return fmt.Errorf("cluster: local sub-job %s produced a malformed record set", key)
+	if _, err := c.deliver(j, sj, key, recs, false); err != nil {
+		return fmt.Errorf("cluster: local sub-job %s: %w", key, err)
 	}
 	return nil
 }

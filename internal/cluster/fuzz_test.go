@@ -4,7 +4,7 @@ package cluster
 // adversarial bytes: every inbound body the coordinator or a worker parses
 // must decode or error cleanly — never panic — with allocation bounded by
 // maxWireBody, and whatever survives decoding must flow through the
-// gather-side validation (recordsMatch) without blowing up.
+// gather-side validation (sweep.Subjob.Matches) without blowing up.
 
 import (
 	"bytes"
@@ -53,7 +53,7 @@ func FuzzWireDecode(f *testing.F) {
 		// must be reported, never folded or panicked on.
 		var resp SubjobResponse
 		if json.Unmarshal(data, &resp) == nil {
-			recordsMatch(ref, resp.Records)
+			ref.Matches(resp.Records)
 		}
 	})
 }

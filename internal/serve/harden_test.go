@@ -85,7 +85,7 @@ func TestSSEWatchSurvivesIdleTimeout(t *testing.T) {
 	ctx := context.Background()
 
 	// A job long enough that the watch stream is open well past IdleTimeout.
-	st, err := c.SubmitJSON(ctx, mediumSpec(41))
+	st, err := c.SubmitJSON(ctx, slowSpec(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestSSEWatchSurvivesIdleTimeout(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 300*time.Millisecond {
 		// The stream must actually have outlived the timeouts for the pin
-		// to mean anything; mediumSpec takes well over 300ms on one worker.
+		// to mean anything; slowSpec takes seconds on one worker.
 		t.Fatalf("stream only lived %v — too short to exercise IdleTimeout", elapsed)
 	}
 }

@@ -661,6 +661,15 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 					}
 				}
 			}
+			// The fresh exact result becomes interpolation anchors for
+			// future approx submissions in its family. Anchors and
+			// counters land before done is published, so a client that
+			// acts on done sees them.
+			m.ix.AddExact(res)
+			m.cfg.Metrics.Add("sim_runs", 1)
+			m.cfg.Metrics.Add("jobs_done", 1)
+			m.cfg.Metrics.Add("slots_simulated", totalSlots)
+			m.cfg.Metrics.Set("last_job_slots_per_sec", sps)
 			j.mu.Lock()
 			j.result = body
 			j.mu.Unlock()
@@ -673,13 +682,6 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 				s.FinishedAt = now()
 			})
 			m.walTerminal(j)
-			// The fresh exact result becomes interpolation anchors for
-			// future approx submissions in its family.
-			m.ix.AddExact(res)
-			m.cfg.Metrics.Add("sim_runs", 1)
-			m.cfg.Metrics.Add("jobs_done", 1)
-			m.cfg.Metrics.Add("slots_simulated", totalSlots)
-			m.cfg.Metrics.Set("last_job_slots_per_sec", sps)
 			if p := exp.Checkpoint; p != "" {
 				os.Remove(p) // the cache owns the result now
 			}

@@ -187,9 +187,10 @@ func (s *batchShard) run(base Config, seeds []uint64, out []RepResult) {
 }
 
 // stepSafe advances one engine by up to budget slots, converting a panic
-// into that replication's error. The engine's buffers are structurally
-// intact after a panic (see Runner.Recover) but its run is unrecoverable,
-// so the rep just ends; the engine resets cleanly for the next batch.
+// into that replication's error. A panic can only interrupt the engine
+// between statements, so its buffers keep their structural invariants; the
+// run itself is unrecoverable, so the rep just ends, and the engine's next
+// reset rebuilds the stale contents for the next batch.
 func stepSafe(e *engine, budget int) (done bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {

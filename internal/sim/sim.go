@@ -495,39 +495,6 @@ func (e *engine) release() {
 	e.ctx = nil
 }
 
-// Recover re-arms a Runner after a panic escaped one of its runs, keeping
-// the warm bulk buffers (queues, timing wheel, busy tables) instead of
-// discarding them. A panic can only interrupt the engine between statements,
-// so every buffer keeps its structural invariants (slice lengths, ring
-// bounds); the stale *contents* are exactly what reset() rebuilds at the
-// start of the next run. Callers that recover a panic from Run should call
-// Recover before reusing the Runner; sweep workers do, so one poisoned
-// replication no longer costs the worker a cold reallocation of every
-// buffer for its remaining work.
-func (r *Runner) Recover() {
-	e := &r.e
-	for i := range e.queues {
-		e.queues[i].Reset()
-	}
-	if e.wheel != nil {
-		for i := range e.wheel {
-			e.wheel[i] = e.wheel[i][:0]
-		}
-	}
-	if e.fwheel != nil {
-		for i := range e.fwheel {
-			e.fwheel[i] = e.fwheel[i][:0]
-		}
-	}
-	clear(e.busyUntil)
-	clear(e.busySlots)
-	clear(e.ready.l0)
-	clear(e.ready.l1)
-	e.tasks = e.tasks[:0]
-	e.freeTasks = e.freeTasks[:0]
-	e.release()
-}
-
 // reset prepares the engine for cfg, reusing buffers from any previous run
 // when the link-slot count and class count match. It fails only when the
 // fault schedule does not compile against the shape.

@@ -44,13 +44,11 @@ func Canonical(e *sweep.Experiment) ([]byte, error) {
 func Fingerprint(e *sweep.Experiment) (string, error) {
 	doc := FromSweep(e)
 	// Human labels don't change results; a renamed experiment must still
-	// hit the cache. Neither does the dispatch mode — batched and
-	// sequential execution are bit-identical, so a batched re-run of a
-	// sequentially-computed experiment hits the cache too. The approx mode
-	// and its tolerance are serving-side knobs: an approx submission must
-	// share the exact submission's identity, so a cached exact result can
-	// answer it and a fallback simulation lands in the exact cache.
-	doc.ID, doc.Title, doc.Notes, doc.Execution, doc.Mode = "", "", "", "", ""
+	// hit the cache. The approx mode and its tolerance are serving-side
+	// knobs: an approx submission must share the exact submission's
+	// identity, so a cached exact result can answer it and a fallback
+	// simulation lands in the exact cache.
+	doc.ID, doc.Title, doc.Notes, doc.Mode = "", "", "", ""
 	doc.ApproxTol = 0
 	b, err := json.Marshal(doc)
 	if err != nil {

@@ -118,8 +118,7 @@ func TestFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	m.Checkpoint = "/tmp/ckpt.jsonl"
 	m.Resume = true
 	m.Progress = func(done, total int) {}
-	m.Execution = sweep.ExecSequential // bit-identical dispatch modes share a fingerprint
-	m.Approx = true                    // serving mode: an approx submit must hit the exact cache
+	m.Approx = true // serving mode: an approx submit must hit the exact cache
 	m.ApproxTol = 0.25
 	got, err := Fingerprint(m)
 	if err != nil {

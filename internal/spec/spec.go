@@ -50,20 +50,17 @@ type Experiment struct {
 	// of the spec and of Fingerprint.
 	MaxBacklog int64 `json:"maxBacklog,omitempty"`
 
-	// Execution selects the dispatch mode: "batched" (default; one
-	// multi-replication batch per sweep cell) or "sequential" (one
-	// Runner.Run per replication). Both produce bit-identical results, so
-	// the field is kept out of Fingerprint — it only tunes how the work is
-	// scheduled.
+	// Execution is the retired dispatch-mode knob. Documents written before
+	// it was retired may carry "batched" or "sequential"; both decode and
+	// are ignored, since every sweep now runs one way. Never written.
 	Execution string `json:"execution,omitempty"`
 
 	// Mode selects how the daemon may answer the submission: "" or "exact"
 	// requires a real simulation; "approx" lets the analytic surrogate
 	// answer from the closed-form model plus interpolation over cached
 	// exact results, falling back to simulation when uncertain. The mode
-	// cannot change simulated results, so like Execution it is excluded
-	// from Fingerprint — an approx submission shares its cache identity
-	// with the exact one.
+	// cannot change simulated results, so it is excluded from Fingerprint —
+	// an approx submission shares its cache identity with the exact one.
 	Mode string `json:"mode,omitempty"`
 	// ApproxTol is the relative reception-delay error tolerance accepted in
 	// approx mode (0: the daemon's default). Excluded from Fingerprint.
@@ -167,10 +164,7 @@ func (e *Experiment) ToSweep() (*sweep.Experiment, error) {
 		return nil, fmt.Errorf("spec: unknown distance model %q", e.Model)
 	}
 	switch strings.ToLower(e.Execution) {
-	case "", "batched":
-		out.Execution = sweep.ExecBatched
-	case "sequential":
-		out.Execution = sweep.ExecSequential
+	case "", "batched", "sequential":
 	default:
 		return nil, fmt.Errorf("spec: unknown execution mode %q", e.Execution)
 	}
@@ -261,9 +255,6 @@ func FromSweep(e *sweep.Experiment) *Experiment {
 		out.Model = "floor"
 	} else {
 		out.Model = "exact"
-	}
-	if e.Execution == sweep.ExecSequential {
-		out.Execution = "sequential"
 	}
 	if e.Approx {
 		out.Mode = "approx"

@@ -113,34 +113,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExecutionRoundTrip: the dispatch knob defaults to batched, parses
-// either mode, and survives Save/Load (so WAL-replayed daemon jobs keep it).
+// TestExecutionRoundTrip: documents written while the retired dispatch knob
+// existed still decode — "batched" and "sequential" alike — into the same
+// experiment as a document without it, and saving one never writes the
+// field back.
 func TestExecutionRoundTrip(t *testing.T) {
-	def, err := Load(strings.NewReader(sample))
+	plain, err := Load(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Execution != sweep.ExecBatched {
-		t.Errorf("default execution = %v, want batched", def.Execution)
-	}
-	seq := strings.Replace(sample, `"id": "my-sweep",`, `"id": "my-sweep", "execution": "sequential",`, 1)
-	orig, err := Load(strings.NewReader(seq))
+	want, err := Fingerprint(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if orig.Execution != sweep.ExecSequential {
-		t.Fatalf("execution = %v, want sequential", orig.Execution)
-	}
-	var buf bytes.Buffer
-	if err := Save(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Execution != sweep.ExecSequential {
-		t.Errorf("execution lost in round trip: %v", back.Execution)
+	for _, mode := range []string{"batched", "sequential"} {
+		old := strings.Replace(sample, `"id": "my-sweep",`, `"id": "my-sweep", "execution": "`+mode+`",`, 1)
+		e, err := Load(strings.NewReader(old))
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if got, _ := Fingerprint(e); got != want {
+			t.Errorf("%s: fingerprint %s, want %s", mode, got, want)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, e); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(buf.String(), "execution") {
+			t.Errorf("%s: saved document still carries the retired field:\n%s", mode, buf.String())
+		}
 	}
 }
 

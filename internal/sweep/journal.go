@@ -3,19 +3,14 @@ package sweep
 // Crash-resilient sweep checkpoints, built on the shared JSONL journal
 // machinery in internal/journal: a header line carrying the experiment's
 // fingerprint, then one line per completed replication with every per-rep
-// value the aggregation step consumes. A sweep run with Checkpoint set
-// appends each replication as it completes (flushed per line, so a killed
-// process loses at most the line being written); a run with Resume set
-// replays the journal first and only simulates the replications it does not
+// value the aggregation step consumes. An execution with Checkpoint set
+// appends each replication as it folds (flushed per line, so a killed
+// process loses at most the line being written); one with Resume set
+// replays the journal first and only runs the replications it does not
 // cover. Because aggregation is order-deterministic over (scheme, rho, rep)
 // — never over completion order — a resumed sweep produces the exact table
-// an uninterrupted one would.
-//
-// The checkpoint types are exported because the cluster coordinator
-// (internal/cluster) maintains the same journal while scattering sub-jobs
-// across a fleet: records gathered from remote workers land in the same
-// format, so a distributed sweep resumes (and folds) exactly like a local
-// one.
+// an uninterrupted one would, whether the local pool or the fleet wrote the
+// journal and whichever of them resumes it.
 
 import (
 	"encoding/json"
@@ -115,89 +110,41 @@ func (e *Experiment) fingerprint() string {
 // else a legacy descriptor derived from the fields.
 func (e *Experiment) JournalFingerprint() string { return e.fingerprint() }
 
-// CheckpointWriter appends replication records to a checkpoint journal.
-type CheckpointWriter struct {
-	w *journalpkg.Writer
-}
-
-// Append journals one completed replication (flushed immediately).
-func (c *CheckpointWriter) Append(rec RepRecord) error { return c.w.Append(rec) }
-
-// Close flushes and closes the journal.
-func (c *CheckpointWriter) Close() error { return c.w.Close() }
-
-// CreateCheckpoint truncates (or creates) path and writes the header line.
-func CreateCheckpoint(path, fingerprint string) (*CheckpointWriter, error) {
-	j, err := journalpkg.Create(path, journalMagic, fingerprint)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: creating checkpoint: %w", err)
-	}
-	return &CheckpointWriter{w: j}, nil
-}
-
-// OpenCheckpointAppend opens an existing journal for appending new records,
-// first truncating it to validLen so a torn final line from the crash does
-// not swallow the next record written after it.
-func OpenCheckpointAppend(path string, validLen int64) (*CheckpointWriter, error) {
-	j, err := journalpkg.OpenAppend(path, validLen)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: opening checkpoint: %w", err)
-	}
-	return &CheckpointWriter{w: j}, nil
-}
-
-// LoadCheckpoint replays a checkpoint file. It verifies the header
-// fingerprint, returns every intact record keyed by (scheme, rho, rep), and
-// tolerates a torn final line (the crash case the journal exists for).
-// validLen is the byte length of the intact prefix — the caller truncates to
-// it before appending, so a torn tail can never corrupt the first record a
-// resumed sweep writes. A missing file is not an error: the sweep simply
-// starts from scratch.
-func LoadCheckpoint(path, fingerprint string) (recs map[RepKey]RepRecord, validLen int64, found bool, err error) {
-	recs = make(map[RepKey]RepRecord)
-	validLen, found, err = journalpkg.Load(path, journalMagic, fingerprint, func(line []byte) error {
-		var rec RepRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return err // torn tail from a crash: keep what we have
-		}
-		recs[rec.Key()] = rec
-		return nil
-	})
-	var fpErr *journalpkg.ErrFingerprint
-	if errors.As(err, &fpErr) {
-		return nil, 0, false, fmt.Errorf("sweep: checkpoint %s belongs to a different experiment (fingerprint mismatch); delete it or drop -resume", path)
-	}
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("sweep: %w", err)
-	}
-	if !found {
-		return nil, 0, false, nil
-	}
-	return recs, validLen, true, nil
-}
-
-// openCheckpoint resolves the replay-or-create dance Run and the cluster
-// coordinator both perform: with Resume set, an existing journal is replayed
-// (records returned) and reopened for appending past its intact prefix;
-// otherwise a fresh journal is created.
-func openCheckpoint(path, fingerprint string, resume bool) (map[RepKey]RepRecord, *CheckpointWriter, error) {
+// openCheckpoint is the one place a checkpoint journal is replayed or
+// created. With resume set, an existing journal's header must carry
+// fingerprint; its intact records are returned and it is reopened for
+// appending past its intact prefix, so a torn final line from a crash
+// cannot swallow the first record written after it. Without resume, or
+// when no journal exists yet, a fresh one is created.
+func openCheckpoint(path, fingerprint string, resume bool) (map[RepKey]RepRecord, *journalpkg.Writer, error) {
 	records := make(map[RepKey]RepRecord)
 	if resume {
-		resumed, validLen, found, err := LoadCheckpoint(path, fingerprint)
+		validLen, found, err := journalpkg.Load(path, journalMagic, fingerprint, func(line []byte) error {
+			var rec RepRecord
+			if err := json.Unmarshal(line, &rec); err != nil {
+				return err // torn tail from a crash: keep what we have
+			}
+			records[rec.Key()] = rec
+			return nil
+		})
+		var fpErr *journalpkg.ErrFingerprint
+		if errors.As(err, &fpErr) {
+			return nil, nil, fmt.Errorf("sweep: checkpoint %s belongs to a different experiment (fingerprint mismatch); delete it or drop -resume", path)
+		}
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("sweep: %w", err)
 		}
 		if found {
-			w, err := OpenCheckpointAppend(path, validLen)
+			w, err := journalpkg.OpenAppend(path, validLen)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, fmt.Errorf("sweep: opening checkpoint: %w", err)
 			}
-			return resumed, w, nil
+			return records, w, nil
 		}
 	}
-	w, err := CreateCheckpoint(path, fingerprint)
+	w, err := journalpkg.Create(path, journalMagic, fingerprint)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("sweep: creating checkpoint: %w", err)
 	}
 	return records, w, nil
 }

@@ -2,16 +2,18 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
-	"prioritystar/internal/balance"
 	"prioritystar/internal/fault"
 	"prioritystar/internal/sim"
 	"prioritystar/internal/torus"
-	"prioritystar/internal/traffic"
 )
 
 // tableFingerprint renders every metric of a result to one string so two
@@ -139,72 +141,136 @@ func TestResumeWithMissingJournalStartsFresh(t *testing.T) {
 	}
 }
 
-// TestRunSafeRecoversPanics: a panicking simulation becomes an error, the
-// worker's Runner is kept (its warm buffers recovered in place, no cold
-// reallocation for every later point), and later runs on it are unaffected.
-func TestRunSafeRecoversPanics(t *testing.T) {
-	shape := torus.MustNew(4, 4)
-	rates, err := traffic.RatesForRho(shape, 0.3, 1, 1, balance.ExactDistance)
-	if err != nil {
-		t.Fatal(err)
+// TestRunMatchesPerRepRunner: Run's pooled, batched, striped execution
+// must produce the exact point table of the plainest possible reference —
+// one sequential sim.Runner call per replication, folded in index order —
+// whatever the worker budget.
+func TestRunMatchesPerRepRunner(t *testing.T) {
+	ref := tinyExperiment()
+	shape := torus.MustNew(ref.Dims...)
+	records := make(map[RepKey]RepRecord)
+	var runner sim.Runner
+	for si := range ref.Schemes {
+		for ri := range ref.Rhos {
+			cfg, err := ref.cellConfig(shape, si, ri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for rep := 0; rep < ref.Reps; rep++ {
+				cfg.Seed = ref.repSeed(si, ri, rep)
+				res, err := runner.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := RepKey{si, ri, rep}
+				records[k] = ref.makeRecord(shape, k, res)
+			}
+		}
 	}
-	sch, err := PrioritySTARSpec.Build(shape, rates, balance.ExactDistance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.Config{
-		Shape: shape, Scheme: sch, Rates: rates, Seed: 4,
-		Warmup: 10, Measure: 100, Drain: 50,
-		OnDeliver: func(sim.DeliverEvent) { panic("boom") },
-	}
-	runner := new(sim.Runner)
-	before := runner
-	res, err := runSafe(&runner, cfg)
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("err = %v, want recovered panic", err)
-	}
-	if res != nil {
-		t.Error("panicked run returned a result")
-	}
-	if runner != before {
-		t.Error("Runner was replaced instead of recovered in place")
-	}
-	cfg.OnDeliver = nil
-	good, err := runSafe(&runner, cfg)
-	if err != nil || good == nil {
-		t.Fatalf("recovered runner failed: %v", err)
-	}
+	want := tableFingerprint(ref.Assemble(records, 0, 0))
 
-	// The recovered runner must also still be deterministic: same config on a
-	// fresh Runner yields the same result.
-	ref, err := new(sim.Runner).Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if good.GeneratedBroadcasts != ref.GeneratedBroadcasts || good.Reception.Mean() != ref.Reception.Mean() {
-		t.Errorf("recovered runner diverged from fresh runner: %+v vs %+v", good, ref)
+	for _, workers := range []int{1, 3} { // 3: uneven split across the 4 cells
+		e := tinyExperiment()
+		e.Workers = workers
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tableFingerprint(res); got != want {
+			t.Errorf("Workers=%d: Run differs from the per-rep Runner reference:\n%s\nvs\n%s", workers, got, want)
+		}
 	}
 }
 
-// TestExecutionModesBitIdentical: the batched dispatch (the default) and the
-// historical per-rep sequential dispatch must produce the exact same point
-// table — same seeds per rep, same Result fields, same float formatting.
-func TestExecutionModesBitIdentical(t *testing.T) {
-	seq := tinyExperiment()
-	seq.Execution = ExecSequential
-	sres, err := seq.Run()
-	if err != nil {
-		t.Fatal(err)
+// fakeRecords is a well-formed record set for sj, for executors that stand
+// in for the engine.
+func fakeRecords(sj Subjob) []RepRecord {
+	recs := make([]RepRecord, len(sj.Reps))
+	for i, rep := range sj.Reps {
+		recs[i] = RepRecord{Scheme: sj.Scheme, Rho: sj.Rho, Rep: rep, Stable: true}
 	}
-	bat := tinyExperiment()
-	bat.Execution = ExecBatched
-	bat.Workers = 3 // uneven split across the 4 cells
-	bres, err := bat.Run()
-	if err != nil {
-		t.Fatal(err)
+	return recs
+}
+
+// TestExecuteFailureWaitsForInFlight: an executor error fails the
+// execution, but Execute returns it only after every executor call in flight
+// has returned, starts no sub-job after the failure, and leaves no goroutine
+// behind.
+func TestExecuteFailureWaitsForInFlight(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := tinyExperiment()
+	e.Rhos = []float64{0.2, 0.4, 0.6, 0.8} // 8 sub-jobs for a pool of 3
+	boom := errors.New("boom")
+	var inFlight, calls atomic.Int64
+	failing, release := make(chan struct{}), make(chan struct{})
+	exec := func(ctx context.Context, sj Subjob, g *Gather) error {
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		if calls.Add(1) == 3 { // the first two are parked below
+			close(failing)
+			return boom
+		}
+		<-release // deliberately deaf to ctx: a call that outlives the failure
+		_, err := g.Deliver(sj, fakeRecords(sj))
+		return err
 	}
-	if got, want := tableFingerprint(bres), tableFingerprint(sres); got != want {
-		t.Errorf("batched sweep differs from sequential:\n%s\nvs\n%s", got, want)
+
+	var err error
+	var atReturn int64
+	done := make(chan struct{})
+	go func() {
+		_, err = e.Execute(3, func(int) Executor { return exec })
+		atReturn = inFlight.Load()
+		close(done)
+	}()
+	<-failing
+	select {
+	case <-done:
+		t.Error("Execute returned while executor calls were still in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-done
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the executor's error", err)
+	}
+	if atReturn != 0 {
+		t.Errorf("%d executor call(s) still in flight when Execute returned", atReturn)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("%d executor calls, want 3: dispatch went on after the failure", n)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Execute, %d before", n, before)
+	}
+}
+
+// TestExecuteCheckpointAppendFailure: a checkpoint append that fails
+// mid-run fails the execution with the append's error and stops dispatch.
+func TestExecuteCheckpointAppendFailure(t *testing.T) {
+	e := tinyExperiment()
+	e.Checkpoint = filepath.Join(t.TempDir(), "ckpt.jsonl")
+	var calls atomic.Int64
+	_, err := e.Execute(1, func(int) Executor {
+		return func(ctx context.Context, sj Subjob, g *Gather) error {
+			if calls.Add(1) == 1 {
+				g.mu.Lock()
+				g.jnl.Close() // every later append fails
+				g.mu.Unlock()
+			}
+			_, err := g.Deliver(sj, fakeRecords(sj))
+			return err
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "writing checkpoint") {
+		t.Fatalf("err = %v, want the failed checkpoint append", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("%d executor calls, want 1: dispatch went on after the failed append", n)
 	}
 }
 
@@ -285,7 +351,7 @@ func TestExperimentRecordsPerPointErrors(t *testing.T) {
 	// failure by rebuilding points from records via a resumed journal.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "err.jsonl")
-	j, err := CreateCheckpoint(path, e2.fingerprint())
+	_, j, err := openCheckpoint(path, e2.fingerprint(), false)
 	if err != nil {
 		t.Fatal(err)
 	}

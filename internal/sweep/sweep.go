@@ -13,11 +13,13 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"prioritystar/internal/balance"
 	"prioritystar/internal/core"
 	"prioritystar/internal/fault"
+	journalpkg "prioritystar/internal/journal"
 	"prioritystar/internal/plot"
 	"prioritystar/internal/sim"
 	"prioritystar/internal/stats"
@@ -70,39 +72,11 @@ func (spec SchemeSpec) Build(s *torus.Shape, rates traffic.Rates, m balance.Dist
 	return core.NewScheme(s, spec.Discipline, spec.Rotation, rates, m)
 }
 
-// Execution selects how a sweep dispatches its replications to the engine.
-// The two modes produce bit-identical per-replication results (enforced by
-// the differential tests in internal/sim) and identical aggregates; the
-// knob trades dispatch granularity for cache locality and is therefore
-// excluded from spec.Fingerprint.
-type Execution int
-
-const (
-	// ExecBatched (the default) dispatches each (scheme, rho) cell as
-	// sim.Batches of up to maxBatchReps replications: the batch advances
-	// through one pass sharing the immutable topology and scheme tables,
-	// with per-rep state in a struct-of-arrays layout. Leftover pool
-	// parallelism (when the sweep has fewer batches than workers) is
-	// pushed inside the batches as rep stripes.
-	ExecBatched Execution = iota
-	// ExecSequential is the historical path: every replication is its own
-	// job on the worker pool, each executed by a sequential sim.Runner.
-	ExecSequential
-)
-
 // maxBatchReps bounds the replications per dispatched batch. Lockstep
 // replications complete together, so the bound caps both how much a crash
 // can lose between checkpoint-journal appends and how much per-rep state
 // the lockstep pass drags through the cache.
 const maxBatchReps = 8
-
-// String names the execution mode.
-func (x Execution) String() string {
-	if x == ExecSequential {
-		return "sequential"
-	}
-	return "batched"
-}
 
 // Experiment describes one sweep: a topology, a traffic mix, a rho grid,
 // and the schemes to compare.
@@ -126,19 +100,13 @@ type Experiment struct {
 	// Workers bounds simulation parallelism; 0 means GOMAXPROCS.
 	Workers int
 
-	// Execution selects the dispatch mode: ExecBatched (default) runs each
-	// (scheme, rho) cell as one batched multi-replication pass,
-	// ExecSequential keeps one job per replication. Results are
-	// bit-identical either way, so the knob is outside spec.Fingerprint.
-	Execution Execution
-
 	// Approx marks the experiment as willing to accept an approximate
 	// answer: the serving layer may answer it from the analytic surrogate
 	// (closed-form model plus interpolation over cached exact results)
 	// instead of simulating, falling back to a real run when the surrogate
 	// is uncertain. Run itself ignores it — an experiment that reaches the
-	// engine is always simulated exactly — and like Execution it cannot
-	// change simulated results, so it stays outside spec.Fingerprint.
+	// engine is always simulated exactly — and it cannot change simulated
+	// results, so it stays outside spec.Fingerprint.
 	Approx bool
 	// ApproxTol is the relative error tolerance an Approx experiment
 	// accepts on the surrogate's reception-delay answers; 0 uses the
@@ -173,9 +141,9 @@ type Experiment struct {
 	Resume bool
 
 	// Progress, when non-nil, is called after every completed replication
-	// with the number finished so far and the total. Calls come from the
-	// single collector goroutine in completion order, so implementations
-	// need no locking; long sweeps use it for live progress display.
+	// with the number finished so far and the total. Calls are serialized,
+	// in order of the finished count, so implementations need no locking;
+	// long sweeps use it for live progress display.
 	Progress func(done, total int)
 }
 
@@ -275,33 +243,6 @@ func (e *Experiment) makeRecord(shape *torus.Shape, k RepKey, res *sim.Result) R
 	return rec
 }
 
-// runSafe executes one simulation, converting a panic into an error. The
-// worker's Runner is re-armed in place (sim.Runner.Recover) so its warm
-// buffers survive: one poisoned replication no longer leaves the worker
-// re-allocating cold queues and wheels for every point it runs afterwards.
-func runSafe(runner **sim.Runner, cfg sim.Config) (res *sim.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			recoverRunner(runner)
-			err = fmt.Errorf("sweep: simulation panicked: %v", r)
-		}
-	}()
-	return (*runner).Run(cfg)
-}
-
-// recoverRunner re-arms a panicked worker's Runner, keeping its buffers. If
-// Recover itself panics — the buffers are corrupt beyond the structural
-// invariants it relies on — the Runner is replaced wholesale as a last
-// resort, restoring the historical behavior.
-func recoverRunner(runner **sim.Runner) {
-	defer func() {
-		if recover() != nil {
-			*runner = new(sim.Runner)
-		}
-	}()
-	(*runner).Recover()
-}
-
 // repSeed derives the deterministic seed of one replication. The derivation
 // is load-bearing: checkpoints, the daemon's result cache, and the cluster's
 // scatter/gather all assume a (scheme, rho, rep) index names exactly one
@@ -311,9 +252,7 @@ func (e *Experiment) repSeed(si, ri, rep int) uint64 {
 }
 
 // cellConfig builds the simulation config template of one (scheme, rho)
-// cell — everything but the per-rep seed. Run and RunSubjob share it so a
-// replication is configured identically whether it executes locally or on a
-// remote worker.
+// cell — everything but the per-rep seed and the context.
 func (e *Experiment) cellConfig(shape *torus.Shape, si, ri int) (sim.Config, error) {
 	rates, err := traffic.RatesForRho(shape, e.Rhos[ri], e.BroadcastFrac, e.Length.Mean(), e.Model)
 	if err != nil {
@@ -330,16 +269,37 @@ func (e *Experiment) cellConfig(shape *torus.Shape, si, ri int) (sim.Config, err
 		MaxBacklog: e.MaxBacklog,
 		Faults:     e.Faults,
 		Guard:      e.Guard,
-		Context:    e.Context,
 	}, nil
 }
 
-// Subjob is the distributable unit of a sweep: up to maxBatchReps
+// shape validates the experiment and builds its torus, checking the fault
+// schedule against it.
+func (e *Experiment) shape() (*torus.Shape, error) {
+	if err := e.validate(); err != nil {
+		return nil, err
+	}
+	shape, err := torus.New(e.Dims...)
+	if err != nil {
+		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
+	}
+	if err := e.Faults.Validate(shape); err != nil {
+		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
+	}
+	return shape, nil
+}
+
+// workers resolves the Workers budget: 0 means GOMAXPROCS.
+func (e *Experiment) workers() int {
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// Subjob is the unit of execution of a sweep: up to maxBatchReps
 // replications of one (scheme, rho) cell with their deterministic seeds.
-// The chunking matches what Run dispatches locally, so a sub-job executed
-// on a remote worker covers exactly the replications one local batch would
-// have, and a checkpoint written at a sub-job boundary resumes cleanly in
-// either mode.
+// Run's local pool and the fleet coordinator dispatch the same sub-jobs,
+// so a checkpoint written by either resumes cleanly in the other.
 type Subjob struct {
 	Scheme int      `json:"s"`
 	Rho    int      `json:"r"`
@@ -364,11 +324,10 @@ func (sj Subjob) Key() string {
 	return b.String()
 }
 
-// Subjobs decomposes the experiment into its distributable sub-jobs in
-// deterministic (scheme, rho, rep) order. skip, when non-nil, drops
-// replications already covered elsewhere (typically a replayed checkpoint
-// journal); remaining reps are chunked at maxBatchReps exactly as Run
-// chunks its local batches.
+// Subjobs decomposes the experiment into its sub-jobs in deterministic
+// (scheme, rho, rep) order. skip, when non-nil, drops replications already
+// covered elsewhere (typically a replayed checkpoint journal); remaining
+// reps are chunked at maxBatchReps.
 func (e *Experiment) Subjobs(skip func(RepKey) bool) ([]Subjob, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
@@ -401,15 +360,36 @@ func (e *Experiment) Subjobs(skip func(RepKey) bool) ([]Subjob, error) {
 	return subjobs, nil
 }
 
-// RunSubjob executes one sub-job locally and returns its replication
-// records in rep order. This is what a cluster worker runs on behalf of a
-// coordinator: the config template, seed handling, and batched execution
-// path are shared with Run, so the records are bit-identical to what the
-// same replications would produce in a single-node sweep. Per-rep failures
+// Matches reports whether recs is exactly the record set sj must deliver:
+// one record per replication, no extras, no strays. It is the fold's last
+// line of defense against corrupt-but-decodable worker responses.
+func (sj Subjob) Matches(recs []RepRecord) bool {
+	want := make(map[RepKey]bool, len(sj.Reps))
+	for _, rep := range sj.Reps {
+		want[RepKey{sj.Scheme, sj.Rho, rep}] = true
+	}
+	if len(recs) == 0 || len(recs) != len(want) {
+		return false
+	}
+	for _, rec := range recs {
+		if !want[rec.Key()] {
+			return false
+		}
+		delete(want, rec.Key())
+	}
+	return true
+}
+
+// RunSubjob executes one sub-job on its own and returns its replication
+// records in rep order, striped over Workers goroutines. This is what a
+// cluster worker runs on behalf of a coordinator, and what the coordinator
+// runs itself when the fleet is gone: the same code Run's pool executes, so
+// the records are bit-identical to a single-node sweep's. Per-rep failures
 // (panics, divergence-watchdog kills) come back as records with Err set —
 // only context cancellation is a sub-job-level error.
 func (e *Experiment) RunSubjob(sj Subjob) ([]RepRecord, error) {
-	if err := e.validate(); err != nil {
+	shape, err := e.shape()
+	if err != nil {
 		return nil, err
 	}
 	if sj.Scheme < 0 || sj.Scheme >= len(e.Schemes) || sj.Rho < 0 || sj.Rho >= len(e.Rhos) {
@@ -423,24 +403,21 @@ func (e *Experiment) RunSubjob(sj Subjob) ([]RepRecord, error) {
 			return nil, fmt.Errorf("sweep %q: sub-job rep %d outside 0..%d", e.ID, rep, e.Reps-1)
 		}
 	}
-	shape, err := torus.New(e.Dims...)
-	if err != nil {
-		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
-	}
-	if err := e.Faults.Validate(shape); err != nil {
-		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
-	}
+	var br sim.BatchRunner
+	return e.runSubjob(e.Context, &br, shape, sj, e.workers())
+}
+
+// runSubjob executes one valid sub-job as a batch on br, split into the
+// given number of rep stripes, under ctx.
+func (e *Experiment) runSubjob(ctx context.Context, br *sim.BatchRunner, shape *torus.Shape, sj Subjob, stripes int) ([]RepRecord, error) {
 	cfg, err := e.cellConfig(shape, sj.Scheme, sj.Rho)
 	if err != nil {
 		return nil, err
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var br sim.BatchRunner
-	outs, err := br.Run(sim.Batch{Base: cfg, Seeds: sj.Seeds, Workers: workers})
+	cfg.Context = ctx
+	outs, err := br.Run(sim.Batch{Base: cfg, Seeds: sj.Seeds, Workers: stripes})
 	if err != nil {
+		// Up-front validation failure: every rep of the cell fails alike.
 		outs = make([]sim.RepResult, len(sj.Seeds))
 		for i := range outs {
 			outs[i] = sim.RepResult{Err: err}
@@ -465,8 +442,8 @@ func (e *Experiment) RunSubjob(sj Subjob) ([]RepRecord, error) {
 // Assemble folds replication records into a Result, visiting (scheme, rho,
 // rep) in strict index order — never completion or arrival order. That
 // ordering is the byte-identity invariant: a Result assembled from any mix
-// of journal replay, local batches, and remote sub-job gathers encodes to
-// exactly the bytes of an uninterrupted single-node run. Missing records
+// of journal replay, local sub-jobs, and remote ones encodes to exactly the
+// bytes of an uninterrupted single-node run. Missing records
 // are simply absent from the aggregates (their Point carries fewer reps).
 func (e *Experiment) Assemble(records map[RepKey]RepRecord, resumed int, elapsed time.Duration) *Result {
 	res := &Result{Exp: e, Elapsed: elapsed, ResumedReps: resumed}
@@ -515,212 +492,206 @@ func (e *Experiment) Assemble(records map[RepKey]RepRecord, resumed int, elapsed
 	return res
 }
 
-// Run executes every (scheme, rho, rep) simulation, fanning out across a
-// bounded worker pool, and aggregates per-cell summaries. Seeds are derived
-// deterministically from BaseSeed and the aggregation visits replications
-// in (scheme, rho, rep) order — never completion order — so a Result is
-// bit-reproducible regardless of scheduling, and a Resume-d sweep matches an
-// uninterrupted one exactly. A replication that panics or errors is recorded
-// on its Point (FailedReps/Error) without killing the experiment; only
-// context cancellation aborts the whole sweep.
+// Run executes every (scheme, rho, rep) simulation and aggregates per-cell
+// summaries: Execute with a local executor, a pool of min(Workers,
+// sub-jobs) goroutines that each keep one warm sim.BatchRunner. Seeds are
+// derived deterministically from BaseSeed and aggregation visits
+// replications in index order, so a Result is bit-reproducible regardless
+// of scheduling, and a Resume-d sweep matches an uninterrupted one exactly.
+// A replication that panics or errors is recorded on its Point
+// (FailedReps/Error) without killing the experiment; only context
+// cancellation aborts the whole sweep.
 func (e *Experiment) Run() (*Result, error) {
+	shape, err := e.shape()
+	if err != nil {
+		return nil, err
+	}
+	workers := e.workers()
+	return e.Execute(workers, func(pool int) Executor {
+		// With fewer sub-jobs than workers the leftover parallelism moves
+		// inside each batch as rep stripes, so a one-cell many-rep sweep
+		// still uses the whole machine.
+		stripes := workers / pool
+		var br sim.BatchRunner // warm across every sub-job of this goroutine
+		return func(ctx context.Context, sj Subjob, g *Gather) error {
+			recs, err := e.runSubjob(ctx, &br, shape, sj, stripes)
+			if err != nil {
+				return err
+			}
+			_, err = g.Deliver(sj, recs)
+			return err
+		}
+	})
+}
+
+// An Executor runs one sub-job and delivers its records to g. Returning an
+// error fails the execution.
+type Executor func(ctx context.Context, sj Subjob, g *Gather) error
+
+// Execute is the one execution path of a sweep, local and fleet alike. It
+// replays or creates the checkpoint journal, splits the replications the
+// journal does not cover into sub-jobs, and runs them in index order on
+// min(parallel, sub-jobs) goroutines, each with the executor newExec
+// returns for that pool size; parallel must be positive. Records fold
+// through one Gather, and the result is assembled in index order once
+// every executor call has returned.
+//
+// The context given to executors is canceled when e.Context is or when the
+// execution fails. The first error — an executor's, or a failed checkpoint
+// append — fails it: dispatch stops, the calls in flight are waited for,
+// and that error is returned.
+func (e *Experiment) Execute(parallel int, newExec func(pool int) Executor) (*Result, error) {
 	if err := e.validate(); err != nil {
 		return nil, err
 	}
-	shape, err := torus.New(e.Dims...)
-	if err != nil {
-		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
+	parent := e.Context
+	if parent == nil {
+		parent = context.Background()
 	}
-	if err := e.Faults.Validate(shape); err != nil {
-		return nil, fmt.Errorf("sweep %q: %w", e.ID, err)
-	}
+	ctx, cancel := context.WithCancel(parent)
+	defer cancel()
+	start := time.Now()
 
-	// Checkpoint replay and journal setup.
-	records := make(map[RepKey]RepRecord)
-	var jnl *CheckpointWriter
+	g := &Gather{e: e, cancel: cancel, records: make(map[RepKey]RepRecord)}
+	var jnl *journalpkg.Writer
 	if e.Checkpoint != "" {
-		records, jnl, err = openCheckpoint(e.Checkpoint, e.fingerprint(), e.Resume)
-		if err != nil {
+		var err error
+		if g.records, jnl, err = openCheckpoint(e.Checkpoint, e.fingerprint(), e.Resume); err != nil {
 			return nil, err
 		}
-		defer jnl.Close()
+		g.jnl = jnl
 	}
-	resumed := len(records)
-
-	// A job is one (scheme, rho) cell's outstanding replications. In
-	// batched mode the whole cell is dispatched as one sim.Batch; in
-	// sequential mode each cell is pre-split into single-rep jobs below, so
-	// the worker pool sees the historical per-replication granularity.
-	type job struct {
-		si, ri int
-		cfg    sim.Config // template; Seed substituted per rep
-		reps   []int      // replication indices still to run
-		seeds  []uint64   // matching seeds (same derivation as ever)
-	}
-	var jobs []job
-	totalReps := 0
-	for si := range e.Schemes {
-		for ri := range e.Rhos {
-			cfg, err := e.cellConfig(shape, si, ri)
-			if err != nil {
-				return nil, err
-			}
-			cell := job{si: si, ri: ri, cfg: cfg}
-			for rep := 0; rep < e.Reps; rep++ {
-				if _, ok := records[RepKey{si, ri, rep}]; ok {
-					continue // already journaled by a previous run
-				}
-				cell.reps = append(cell.reps, rep)
-				cell.seeds = append(cell.seeds, e.repSeed(si, ri, rep))
-			}
-			if len(cell.reps) == 0 {
-				continue // cell fully covered by the checkpoint journal
-			}
-			totalReps += len(cell.reps)
-			if e.Execution == ExecSequential {
-				for i := range cell.reps {
-					jobs = append(jobs, job{
-						si: si, ri: ri, cfg: cell.cfg,
-						reps:  cell.reps[i : i+1],
-						seeds: cell.seeds[i : i+1],
-					})
-				}
-			} else {
-				// Chunk big cells: lockstep replications all finish
-				// together, so an unbounded batch would journal nothing
-				// until the whole cell completed (a crash loses the entire
-				// cell) and would drag a reps-sized working set through the
-				// cache. Bounded chunks keep checkpoint granularity and
-				// cache locality while still sharing the scheme tables and
-				// arena across the chunk.
-				for lo := 0; lo < len(cell.reps); lo += maxBatchReps {
-					hi := lo + maxBatchReps
-					if hi > len(cell.reps) {
-						hi = len(cell.reps)
-					}
-					jobs = append(jobs, job{
-						si: si, ri: ri, cfg: cell.cfg,
-						reps:  cell.reps[lo:hi],
-						seeds: cell.seeds[lo:hi],
-					})
-				}
-			}
+	resumed := len(g.records)
+	subjobs, err := e.Subjobs(func(k RepKey) bool {
+		_, ok := g.records[k]
+		return ok
+	})
+	if err != nil {
+		if jnl != nil {
+			jnl.Close()
 		}
+		return nil, err
+	}
+	for _, sj := range subjobs {
+		g.total += len(sj.Reps)
 	}
 
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	poolWorkers := workers
-	if poolWorkers > len(jobs) {
-		poolWorkers = len(jobs)
-	}
-	// When a batched sweep has fewer cells than the worker budget, the
-	// leftover parallelism moves inside each batch as rep stripes, so a
-	// one-cell many-rep experiment still uses the whole machine.
-	batchWorkers := 1
-	if e.Execution != ExecSequential && len(jobs) > 0 {
-		if batchWorkers = workers / len(jobs); batchWorkers < 1 {
-			batchWorkers = 1
-		}
-	}
-
-	type outcome struct {
-		si, ri int
-		reps   []int
-		outs   []sim.RepResult
-	}
-	start := time.Now()
-	jobCh := make(chan job)
-	outCh := make(chan outcome)
+	pool := min(parallel, len(subjobs))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < poolWorkers; w++ {
+	for w := 0; w < pool; w++ {
+		exec := newExec(pool)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns its engines (a BatchRunner or a Runner) so
-			// queue/wheel buffers are allocated once and reused across all
-			// the cells it processes.
-			var br sim.BatchRunner
-			runner := new(sim.Runner)
-			for j := range jobCh {
-				var outs []sim.RepResult
-				if e.Execution == ExecSequential {
-					outs = make([]sim.RepResult, len(j.seeds))
-					for i, seed := range j.seeds {
-						cfg := j.cfg
-						cfg.Seed = seed
-						res, err := runSafe(&runner, cfg)
-						outs[i] = sim.RepResult{Result: res, Err: err}
-					}
-				} else {
-					var err error
-					outs, err = br.Run(sim.Batch{Base: j.cfg, Seeds: j.seeds, Workers: batchWorkers})
-					if err != nil {
-						// Up-front validation failure: every rep of the
-						// cell fails identically, mirroring what each
-						// sequential Runner.Run would have reported.
-						outs = make([]sim.RepResult, len(j.seeds))
-						for i := range outs {
-							outs[i] = sim.RepResult{Err: err}
-						}
-					}
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= len(subjobs) {
+					return
 				}
-				outCh <- outcome{si: j.si, ri: j.ri, reps: j.reps, outs: outs}
+				if err := exec(ctx, subjobs[i], g); err != nil {
+					g.fail(err)
+				}
 			}
 		}()
 	}
-	go func() {
-		for _, j := range jobs {
-			jobCh <- j
-		}
-		close(jobCh)
-		wg.Wait()
-		close(outCh)
-	}()
+	wg.Wait()
 
-	var ctxErr error
-	done := 0
-	for out := range outCh {
-		for i, rep := range out.reps {
-			done++
-			if e.Progress != nil {
-				e.Progress(done, totalReps)
-			}
-			key := RepKey{out.si, out.ri, rep}
-			rr := out.outs[i]
-			if rr.Err != nil {
-				if errors.Is(rr.Err, context.Canceled) || errors.Is(rr.Err, context.DeadlineExceeded) {
-					// Cancellation, not a per-rep failure: abort (after
-					// draining outCh so the workers can exit).
-					if ctxErr == nil {
-						ctxErr = rr.Err
-					}
-					continue
-				}
-				records[key] = RepRecord{
-					Scheme: key.Scheme, Rho: key.Rho, Rep: key.Rep,
-					Err: rr.Err.Error(),
-				}
-			} else {
-				records[key] = e.makeRecord(shape, key, rr.Result)
-			}
-			if jnl != nil {
-				if err := jnl.Append(records[key]); err != nil {
-					return nil, fmt.Errorf("sweep: writing checkpoint: %w", err)
-				}
-			}
+	g.mu.Lock()
+	g.closed = true
+	err, folded := g.err, g.reps
+	g.mu.Unlock()
+	if jnl != nil {
+		if cerr := jnl.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("sweep: closing checkpoint: %w", cerr)
 		}
 	}
-	if ctxErr != nil {
-		return nil, ctxErr
+	if err == nil {
+		err = parent.Err()
 	}
+	if err == nil && folded != g.total {
+		err = fmt.Errorf("sweep %q: %d of %d replications folded", e.ID, folded, g.total)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return e.Assemble(g.records, resumed, time.Since(start)), nil
+}
 
-	// Deterministic aggregation: visit (scheme, rho, rep) in index order so
-	// the float summaries are independent of worker scheduling and of how
-	// the records were split between journal replay and fresh simulation.
-	return e.Assemble(records, resumed, time.Since(start)), nil
+// Gather folds the record sets executors deliver during one Execute. The
+// first complete record set for a sub-job wins; each of its records is
+// journaled to the checkpoint and counted into Progress. A later set for
+// the same sub-job — a hedge loser, or a call whose lease expired while it
+// kept running — is dropped, as is anything delivered after Execute
+// returned.
+type Gather struct {
+	e      *Experiment
+	total  int
+	cancel context.CancelFunc
+
+	mu      sync.Mutex
+	records map[RepKey]RepRecord
+	jnl     *journalpkg.Writer // nil without a checkpoint or after a failed append
+	reps    int                // records folded by deliveries
+	err     error              // the first failure; ends the execution
+	closed  bool               // Execute has returned
+}
+
+// Deliver folds sj's records and reports whether this delivery won: false
+// means the sub-job was already folded or Execute has returned. A record
+// set that does not match sj is an error and folds nothing. Progress is
+// called with the lock held, which is what serializes its calls.
+func (g *Gather) Deliver(sj Subjob, recs []RepRecord) (bool, error) {
+	if !sj.Matches(recs) {
+		return false, fmt.Errorf("sweep: record set does not match sub-job %s", sj.Key())
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed || g.foldedLocked(sj) {
+		return false, nil
+	}
+	for _, rec := range recs {
+		g.records[rec.Key()] = rec
+		if g.jnl != nil {
+			if err := g.jnl.Append(rec); err != nil {
+				g.jnl = nil
+				g.failLocked(fmt.Errorf("sweep: writing checkpoint: %w", err))
+			}
+		}
+		g.reps++
+		if g.e.Progress != nil {
+			g.e.Progress(g.reps, g.total)
+		}
+	}
+	return true, nil
+}
+
+// Folded reports whether a record set for sj has been folded.
+func (g *Gather) Folded(sj Subjob) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.foldedLocked(sj)
+}
+
+// foldedLocked: sets fold whole under the lock and the sub-jobs of one
+// execution never share a replication, so sj's first stands for all of it.
+func (g *Gather) foldedLocked(sj Subjob) bool {
+	_, ok := g.records[RepKey{sj.Scheme, sj.Rho, sj.Reps[0]}]
+	return ok
+}
+
+// fail records the first error of the execution and cancels its context.
+func (g *Gather) fail(err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.failLocked(err)
+}
+
+func (g *Gather) failLocked(err error) {
+	if g.err == nil {
+		g.err = err
+		g.cancel()
+	}
 }
 
 // Metric selects which aggregate a table or CSV reports.

@@ -431,8 +431,7 @@ func TestProgressCallbackCoversAllJobs(t *testing.T) {
 	if len(calls) != wantJobs {
 		t.Fatalf("%d progress calls for %d jobs", len(calls), wantJobs)
 	}
-	// The collector invokes Progress serially in completion order, so done
-	// must count up 1..N.
+	// Progress calls are serialized, so done must count up 1..N.
 	for i, d := range calls {
 		if d != i+1 {
 			t.Fatalf("call %d reported done=%d", i, d)
