@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help check build vet bench-vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
+.PHONY: all help check fmt-check build vet bench-vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-json bench-gate cover figures figures-quick report examples clean
 
 all: build vet test race
 
@@ -14,7 +14,7 @@ all: build vet test race
 # BENCH_sim.json; LOAD_GATE=1 does the same for service latency/throughput
 # against BENCH_serve.json (both off by default so the gate never flakes a
 # loaded box).
-check: vet bench-vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke
+check: fmt-check vet bench-vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke
 ifneq ($(BENCH_GATE),)
 check: bench-gate
 endif
@@ -26,6 +26,8 @@ help:
 	@echo "Targets:"
 	@echo "  all           build + vet + test + race (the full gate)"
 	@echo "  check         vet + build + test (the tier-1 CI gate)"
+	@echo "  fmt-check     fail if gofmt would change any Go file (the"
+	@echo "                benchmark's .bench_build/ cache excluded)"
 	@echo "  build         go build ./..."
 	@echo "  vet           go vet ./..."
 	@echo "  bench-vet     go vet the layerbench module (its own go.mod, so"
@@ -189,6 +191,14 @@ fuzz:
 	$(GO) test -fuzz FuzzTrajectoryReader -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -fuzz FuzzSurrogateTable -fuzztime $(FUZZTIME) ./internal/surrogate
 	$(GO) test -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster
+
+# gofmt -l over every Go file but the benchmark's build cache under
+# .bench_build/ (it holds module copies that are not this repo's code),
+# with the gofmt of the toolchain $(GO) names.
+fmt-check:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs "$$($(GO) env GOROOT)/bin/gofmt" -l) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt would reformat:"; echo "$$out"; exit 1; fi; \
+	echo "fmt-check: ok"
 
 build:
 	$(GO) build ./...

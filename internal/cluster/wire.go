@@ -64,7 +64,7 @@ type WorkerInfo struct {
 	Depth int    `json:"depth"`
 	// Leases is the coordinator-side count of sub-jobs currently leased to
 	// this worker.
-	Leases int `json:"leases"`
+	Leases int  `json:"leases"`
 	Alive  bool `json:"alive"`
 	// LastSeenMillisAgo is how long ago the last heartbeat (or join)
 	// arrived.

@@ -134,7 +134,7 @@ func TestLoadPartitionStorm(t *testing.T) {
 	metrics := &obs.MetricSet{}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Heartbeat: 200 * time.Millisecond, LeaseTTL: 30 * time.Second,
-		DegradeAfter: 500 * time.Millisecond,
+		DegradeAfter:     500 * time.Millisecond,
 		BreakerThreshold: 2, BreakerCooldown: time.Second,
 		Metrics: metrics,
 	})

@@ -137,15 +137,15 @@ func TestSketchJSONRoundTrip(t *testing.T) {
 // doctored document must produce an error, never a panic or silent accept.
 func TestSketchDecodeRejectsCorruption(t *testing.T) {
 	cases := map[string]string{
-		"wrong version":      `{"v":2,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}`,
-		"negative count":     `{"v":1,"count":-3,"sum":0,"min":0,"max":0}`,
-		"empty with buckets": `{"v":1,"count":0,"sum":0,"min":0,"max":0,"buckets":[[1,1]]}`,
-		"max below min":      `{"v":1,"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}`,
+		"wrong version":       `{"v":2,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}`,
+		"negative count":      `{"v":1,"count":-3,"sum":0,"min":0,"max":0}`,
+		"empty with buckets":  `{"v":1,"count":0,"sum":0,"min":0,"max":0,"buckets":[[1,1]]}`,
+		"max below min":       `{"v":1,"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}`,
 		"bucket out of range": `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[99999,1]]}`,
-		"buckets unordered":  `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[7,1],[3,1]]}`,
-		"count mismatch":     `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
-		"zero bucket count":  `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,0],[6,1]]}`,
-		"not json":           `{"v":1,`,
+		"buckets unordered":   `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[7,1],[3,1]]}`,
+		"count mismatch":      `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
+		"zero bucket count":   `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,0],[6,1]]}`,
+		"not json":            `{"v":1,`,
 	}
 	for name, doc := range cases {
 		var s Sketch

@@ -42,8 +42,8 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte("not a trace at all"))
-	f.Add(seed[:len(seed)/2])         // truncated mid-stream
-	f.Add(seed[:12])                  // truncated inside the header
+	f.Add(seed[:len(seed)/2])                      // truncated mid-stream
+	f.Add(seed[:12])                               // truncated inside the header
 	f.Add(append([]byte{}, seed[:len(seed)-1]...)) // last byte missing
 
 	// Bit-flip a spread of positions: header magic, manifest, opcodes, fields.

@@ -128,17 +128,17 @@ func (m Multi) Fault(slot int64, link torus.LinkID, permanent bool, lost int64) 
 // Counters counts every event kind; the cheapest possible full-coverage
 // probe, used by overhead benchmarks and trace replay verification.
 type Counters struct {
-	Enqueues  int64 `json:"enqueues"`   // Enqueue events
-	Services  int64 `json:"services"`   // Service events
-	Delivers  int64 `json:"delivers"`   // Deliver events (every copy and hop)
-	Finals    int64 `json:"finals"`     // Deliver events with final == true
-	Bcasts    int64 `json:"broadcasts"` // Deliver events with broadcast == true
-	Spawns    int64 `json:"spawns"`     // Spawn events
-	Measured  int64 `json:"measured"`   // Spawn events with measured == true
-	Slots     int64 `json:"slots"`      // SlotEnd events
-	MaxDepth  int64 `json:"max_depth"`  // deepest single output queue seen at enqueue
-	MaxQueued int64 `json:"max_queued"` // largest end-of-slot backlog seen
-	Faults    int64 `json:"faults"`     // Fault events
+	Enqueues   int64 `json:"enqueues"`    // Enqueue events
+	Services   int64 `json:"services"`    // Service events
+	Delivers   int64 `json:"delivers"`    // Deliver events (every copy and hop)
+	Finals     int64 `json:"finals"`      // Deliver events with final == true
+	Bcasts     int64 `json:"broadcasts"`  // Deliver events with broadcast == true
+	Spawns     int64 `json:"spawns"`      // Spawn events
+	Measured   int64 `json:"measured"`    // Spawn events with measured == true
+	Slots      int64 `json:"slots"`       // SlotEnd events
+	MaxDepth   int64 `json:"max_depth"`   // deepest single output queue seen at enqueue
+	MaxQueued  int64 `json:"max_queued"`  // largest end-of-slot backlog seen
+	Faults     int64 `json:"faults"`      // Fault events
 	LostCopies int64 `json:"lost_copies"` // broadcast deliveries severed by permanent faults
 }
 

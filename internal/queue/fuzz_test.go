@@ -109,10 +109,10 @@ func FuzzFIFO(f *testing.F) {
 	// Seeds cover the interesting regimes: empty-queue pops, a growth
 	// cascade, wraparound after interleaved push/pop, and resets.
 	f.Add([]byte{})
-	f.Add([]byte{3, 5, 3, 5})                         // pops on empty
-	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2}) // pure growth past cap 8
-	f.Add([]byte{0, 0, 0, 3, 3, 0, 0, 5, 5, 0, 0, 3, 0, 3, 0, 3}) // wrap head around
-	f.Add([]byte{0, 1, 2, 7, 0, 1, 2, 15, 0, 3})                  // resets mid-stream
+	f.Add([]byte{3, 5, 3, 5})                                                    // pops on empty
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2})                            // pure growth past cap 8
+	f.Add([]byte{0, 0, 0, 3, 3, 0, 0, 5, 5, 0, 0, 3, 0, 3, 0, 3})                // wrap head around
+	f.Add([]byte{0, 1, 2, 7, 0, 1, 2, 15, 0, 3})                                 // resets mid-stream
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 3, 3, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // grow while wrapped
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1<<12 {

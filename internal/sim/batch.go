@@ -39,9 +39,9 @@ type Batch struct {
 
 	// Workers bounds the rep-stripe parallelism: the batch is split into
 	// that many contiguous stripes, each advanced by its own goroutine.
-	// 0 means GOMAXPROCS; 1 runs the whole batch on the calling goroutine
-	// (what sweep workers use, since the sweep pool already owns the
-	// machine's parallelism).
+	// 0 means GOMAXPROCS; 1 runs the whole batch on the calling goroutine.
+	// A sweep pool of p goroutines passes its worker budget divided by p,
+	// so rep stripes use only the parallelism the pool leaves over.
 	Workers int
 }
 

@@ -382,7 +382,7 @@ type engine struct {
 	// instead of a full packet copy. A link carries at most one packet at
 	// a time, making one slot per link sufficient.
 	inflight []packet
-	wheel    [][]torus.LinkID
+	wheel    linkWheel
 
 	// ready collects the links that may start a transmission this slot:
 	// those whose in-flight packet just completed and those that received
@@ -410,7 +410,7 @@ type engine struct {
 	// path at one nil check per site; fwheel parallels wheel and carries
 	// recovery wake-ups for links found transiently down.
 	faults   *fault.Compiled
-	fwheel   [][]torus.LinkID
+	fwheel   linkWheel
 	adaptCur torus.Node // current node for the downFn closure
 	downFn   func(dim int, dir torus.Dir) bool
 
@@ -463,8 +463,9 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 }
 
 // runnerPool recycles engine buffers across package-level Run calls, so
-// even callers that cannot hold a Runner (parallel sweep workers, one-shot
-// probes) skip the per-run queue/wheel allocations after warm-up.
+// callers that cannot hold a Runner (one-shot commands, static-pattern
+// probes, the package API) skip the per-run queue/wheel allocations after
+// warm-up.
 var runnerPool = sync.Pool{New: func() any { return new(Runner) }}
 
 // Run executes one simulation and returns its statistics. Results depend
@@ -543,16 +544,10 @@ func (e *engine) reset(cfg Config) error {
 	e.linkDst, e.linkDim = e.s.LinkTables()
 	if len(e.inflight) != slots {
 		// No clearing on reuse: an inflight slot is read only when the
-		// wheel holds the link's ID, and the wheel is truncated below.
+		// wheel holds the link's ID, and the wheel is emptied below.
 		e.inflight = e.arena.packets(slots)
 	}
-	if e.wheel == nil {
-		e.wheel = make([][]torus.LinkID, wheelSize)
-	} else {
-		for i := range e.wheel {
-			e.wheel[i] = e.wheel[i][:0]
-		}
-	}
+	e.wheel.reset()
 	e.tasks = e.tasks[:0]
 	e.freeTasks = e.freeTasks[:0]
 	e.nextTask = 0
@@ -561,11 +556,6 @@ func (e *engine) reset(cfg Config) error {
 	// keep e.faults == nil and stay on the historical hot path.
 	e.faults = nil
 	e.downFn = nil
-	if e.fwheel != nil {
-		for i := range e.fwheel {
-			e.fwheel[i] = e.fwheel[i][:0]
-		}
-	}
 	if !cfg.Faults.Empty() {
 		fc, err := cfg.Faults.Compile(cfg.Shape)
 		if err != nil {
@@ -573,9 +563,7 @@ func (e *engine) reset(cfg Config) error {
 		}
 		e.faults = fc
 		e.downFn = e.adaptDown
-		if e.fwheel == nil {
-			e.fwheel = make([][]torus.LinkID, wheelSize)
-		}
+		e.fwheel.reset()
 	}
 
 	// Guards.
@@ -717,14 +705,12 @@ func (e *engine) diverged() bool {
 // span) is rescheduled; a healed link is marked ready so serviceReady
 // examines its queue this very slot.
 func (e *engine) processRecoveries() {
-	entries := e.fwheel[e.now&wheelMask]
+	entries := e.fwheel.take(e.now)
 	if len(entries) == 0 {
 		return
 	}
-	e.fwheel[e.now&wheelMask] = entries[:0]
-	// scheduleRecovery never targets the current wheel index (recovery
-	// slots lie in (now, now+wheelSize)), so the append below cannot write
-	// into the slice being ranged over.
+	// entries is off the wheel until recycled below, so the reschedules
+	// cannot write into the slice being ranged over.
 	for _, l := range entries {
 		if down, until := e.faults.DownUntil(l, e.now); down {
 			if until >= 0 {
@@ -734,6 +720,7 @@ func (e *engine) processRecoveries() {
 		}
 		e.markReady(l)
 	}
+	e.fwheel.recycle(entries)
 }
 
 // scheduleRecovery enqueues a wake-up for link l at the given recovery slot,
@@ -743,8 +730,58 @@ func (e *engine) scheduleRecovery(l torus.LinkID, until int64) {
 	if until > e.now+wheelMask {
 		until = e.now + wheelMask
 	}
-	at := until & wheelMask
-	e.fwheel[at] = append(e.fwheel[at], l)
+	e.fwheel.add(until, l)
+}
+
+// linkWheel is a timing wheel of link IDs: the bucket at t&wheelMask lists,
+// in the order they were added, the links with an event at slot t. A
+// drained bucket's array goes onto a spare stack and the next bucket to
+// start filling takes it, so the wheel keeps about as many arrays as slots
+// have events pending at once instead of every bucket holding an array of
+// its peak size. A bucket is either nil or non-empty.
+type linkWheel struct {
+	buckets [][]torus.LinkID
+	spare   [][]torus.LinkID
+}
+
+// reset empties the wheel for a new run. The arrays of buckets an earlier
+// run left non-empty (it was truncated, diverged, timed out or cancelled)
+// go back to the spare stack.
+func (w *linkWheel) reset() {
+	if w.buckets == nil {
+		w.buckets = make([][]torus.LinkID, wheelSize)
+	}
+	for i, b := range w.buckets {
+		if b != nil {
+			w.recycle(b)
+			w.buckets[i] = nil
+		}
+	}
+}
+
+// add appends link l to the bucket of slot t.
+func (w *linkWheel) add(t int64, l torus.LinkID) {
+	b := &w.buckets[t&wheelMask]
+	if *b == nil && len(w.spare) > 0 {
+		*b = w.spare[len(w.spare)-1]
+		w.spare = w.spare[:len(w.spare)-1]
+	}
+	*b = append(*b, l)
+}
+
+// take detaches the bucket of slot t and returns its links. Once done
+// reading them the caller hands the array back with recycle; adds made
+// before that, even while ranging over it, cannot reuse it.
+func (w *linkWheel) take(t int64) []torus.LinkID {
+	b := &w.buckets[t&wheelMask]
+	links := *b
+	*b = nil
+	return links
+}
+
+// recycle puts a taken, non-nil array on the spare stack.
+func (w *linkWheel) recycle(links []torus.LinkID) {
+	w.spare = append(w.spare, links[:0])
 }
 
 // linkBitmap is a two-level bitmap over the link-slot index space: one bit
@@ -813,13 +850,10 @@ func (e *engine) markReady(l torus.LinkID) {
 // deliverArrivals processes packets whose transmission completes at the
 // start of the current slot.
 func (e *engine) deliverArrivals() {
-	arrivals := e.wheel[e.now&wheelMask]
+	arrivals := e.wheel.take(e.now)
 	if len(arrivals) == 0 {
 		return
 	}
-	// Service can never append back into the current slot (lengths are in
-	// [1, wheelSize)), so the backing array is safe to reuse immediately.
-	e.wheel[e.now&wheelMask] = arrivals[:0]
 	for _, l := range arrivals {
 		e.markReady(l) // the link just went idle; it may have queue
 		pkt := &e.inflight[l]
@@ -830,6 +864,7 @@ func (e *engine) deliverArrivals() {
 			e.deliverBroadcast(node, pkt)
 		}
 	}
+	e.wheel.recycle(arrivals)
 }
 
 func (e *engine) deliverUnicast(node torus.Node, pkt *packet) {
@@ -1125,8 +1160,7 @@ func (e *engine) serviceReady() {
 		// ring buffer and stays valid: nothing can Push to this queue
 		// before the copy below.
 		e.inflight[l] = *pkt
-		at := (t + length) & wheelMask
-		e.wheel[at] = append(e.wheel[at], l)
+		e.wheel.add(t+length, l)
 	})
 }
 

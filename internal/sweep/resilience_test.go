@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -274,6 +275,96 @@ func TestExecuteCheckpointAppendFailure(t *testing.T) {
 	}
 }
 
+// TestExecuteDispatchesHeaviestFirst: Execute hands sub-jobs out by
+// descending reps × rho with ties in index order, weighing a sub-job the
+// journal left partial by the replications it still has to run, and the
+// order changes nothing in the result.
+func TestExecuteDispatchesHeaviestFirst(t *testing.T) {
+	dir := t.TempDir()
+	mk := func() *Experiment {
+		e := tinyExperiment()
+		e.Rhos = []float64{0.25, 0.75} // exact weights, so ties are ties
+		e.Reps = 10                    // each cell splits into 8 + 2 reps
+		return e
+	}
+	ref := mk()
+	ref.Checkpoint = filepath.Join(dir, "full.jsonl")
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A journal holding reps 0..6 of cell (0,1), as a crash might leave it.
+	records, jnl, err := openCheckpoint(ref.Checkpoint, ref.fingerprint(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jnl.Close()
+	partial := filepath.Join(dir, "partial.jsonl")
+	if _, jnl, err = openCheckpoint(partial, ref.fingerprint(), false); err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 7; rep++ {
+		if err := jnl.Append(records[RepKey{0, 1, rep}]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name       string
+		checkpoint string
+		resumed    int
+		order      []string
+	}{
+		{"fresh", "", 0, []string{
+			"s0r1@0.1.2.3.4.5.6.7", "s1r1@0.1.2.3.4.5.6.7", // 8 × 0.75
+			"s0r0@0.1.2.3.4.5.6.7", "s1r0@0.1.2.3.4.5.6.7", // 8 × 0.25
+			"s0r1@8.9", "s1r1@8.9", // 2 × 0.75
+			"s0r0@8.9", "s1r0@8.9", // 2 × 0.25
+		}},
+		{"resumed", partial, 7, []string{
+			"s1r1@0.1.2.3.4.5.6.7",                         // 8 × 0.75
+			"s0r1@7.8.9",                                   // 3 × 0.75
+			"s0r0@0.1.2.3.4.5.6.7", "s1r0@0.1.2.3.4.5.6.7", // 8 × 0.25
+			"s1r1@8.9",             // 2 × 0.75
+			"s0r0@8.9", "s1r0@8.9", // 2 × 0.25
+		}},
+	}
+	for _, tc := range cases {
+		e := mk()
+		e.Checkpoint, e.Resume = tc.checkpoint, tc.checkpoint != ""
+		shape := torus.MustNew(e.Dims...)
+		var order []string
+		res, err := e.Execute(1, func(int) Executor {
+			var br sim.BatchRunner
+			return func(ctx context.Context, sj Subjob, g *Gather) error {
+				order = append(order, sj.Key())
+				recs, err := e.runSubjob(ctx, &br, shape, sj, 1)
+				if err != nil {
+					return err
+				}
+				_, err = g.Deliver(sj, recs)
+				return err
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(order, tc.order) {
+			t.Errorf("%s: dispatch order\n%q\nwant\n%q", tc.name, order, tc.order)
+		}
+		if res.ResumedReps != tc.resumed {
+			t.Errorf("%s: %d resumed reps, want %d", tc.name, res.ResumedReps, tc.resumed)
+		}
+		if got := tableFingerprint(res); got != tableFingerprint(want) {
+			t.Errorf("%s: result differs from Run's:\n%s\nvs\n%s", tc.name, got, tableFingerprint(want))
+		}
+	}
+}
+
 // TestResumeLandsMidBatch: a crash that journals only some replications of a
 // (scheme, rho) cell forces the resumed batched sweep to dispatch a partial
 // batch for that cell — only the missing reps, with their original seeds.
@@ -300,9 +391,10 @@ func TestResumeLandsMidBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Keep the header plus 6 records: cell (0,0) complete (4 reps) and cell
-	// (0,1) half done (2 of 4), so the resume must run a 2-rep partial batch
-	// for (0,1) and full batches for the untouched cells.
+	// Keep the header plus 6 records: the first cell delivered complete (4
+	// reps; a rho = 0.8 cell, since the heaviest run first) and the next one
+	// half done (2 of 4), so the resume must run a 2-rep partial batch for
+	// that cell and full batches for the untouched cells.
 	lines := strings.SplitAfter(string(data), "\n")
 	if len(lines) < 8 {
 		t.Fatalf("journal too short: %d lines", len(lines))

@@ -530,11 +530,17 @@ type Executor func(ctx context.Context, sj Subjob, g *Gather) error
 
 // Execute is the one execution path of a sweep, local and fleet alike. It
 // replays or creates the checkpoint journal, splits the replications the
-// journal does not cover into sub-jobs, and runs them in index order on
+// journal does not cover into sub-jobs, and runs them heaviest first on
 // min(parallel, sub-jobs) goroutines, each with the executor newExec
 // returns for that pool size; parallel must be positive. Records fold
 // through one Gather, and the result is assembled in index order once
 // every executor call has returned.
+//
+// A sub-job's weight is its replication count times its rho: every cell of
+// one experiment shares its shape, horizon and traffic mix, so that product
+// is proportional to the link services it simulates. Ties keep index
+// order. Handing out the heaviest cells first keeps the pool from idling
+// behind one long cell at the tail.
 //
 // The context given to executors is canceled when e.Context is or when the
 // execution fails. The first error — an executor's, or a failed checkpoint
@@ -575,6 +581,8 @@ func (e *Experiment) Execute(parallel int, newExec func(pool int) Executor) (*Re
 	for _, sj := range subjobs {
 		g.total += len(sj.Reps)
 	}
+	weight := func(sj Subjob) float64 { return float64(len(sj.Reps)) * e.Rhos[sj.Rho] }
+	sort.SliceStable(subjobs, func(i, j int) bool { return weight(subjobs[i]) > weight(subjobs[j]) })
 
 	pool := min(parallel, len(subjobs))
 	var next atomic.Int64
