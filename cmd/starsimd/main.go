@@ -8,8 +8,7 @@
 // Submissions with "mode": "approx" may be answered by the analytic
 // surrogate — the closed-form model plus interpolation over the cached
 // exact results — with explicit error bounds and zero simulation runs;
-// -no-approx turns the fast path off and -forecast-admission turns on
-// predictive shedding driven by the queue-depth forecast.
+// -no-approx turns the fast path off.
 //
 // SIGINT/SIGTERM drain the daemon: intake stops, accepted jobs finish and
 // land in the cache, then the process exits. A second signal aborts
@@ -61,7 +60,6 @@ func main() {
 
 		noApprox  = flag.Bool("no-approx", false, "ignore approx mode: every submission runs the real simulation")
 		approxTol = flag.Float64("approx-tol", 0, "default relative error tolerance for surrogate answers (0: built-in 5%)")
-		forecast  = flag.Bool("forecast-admission", false, "shed work the queue-depth forecast says will overflow, before the queue is full")
 
 		coordMode = flag.Bool("coordinator", false, "scatter accepted jobs across registered fleet workers")
 		fleetWAL  = flag.String("fleet-wal", "", "persist the coordinator's sub-job lease journal here (re-adopted on restart)")
@@ -130,11 +128,8 @@ func main() {
 		JobTimeout:   *jobTO,
 		NoApprox:     *noApprox,
 		ApproxTol:    *approxTol,
-
-		ForecastAdmission: *forecast,
-
-		Metrics: metrics,
-		Logf:    logf,
+		Metrics:      metrics,
+		Logf:         logf,
 	}
 	if coord != nil {
 		cfg.RunJob = coord.RunJob

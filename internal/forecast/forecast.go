@@ -1,6 +1,6 @@
 // Package forecast predicts the daemon's queue pressure from its own
-// admission stream, so the service layer can shape load proactively
-// instead of reacting only after the queue is already full.
+// admission stream, so a 429 can tell the client how long the backlog
+// needs to drain instead of a fixed constant.
 //
 // The Forecaster ingests three signals the job manager already produces —
 // job arrivals (enqueues), job completions, and the queue depth observed at
@@ -13,11 +13,8 @@
 //   - a Holt (level + trend) smoothing of the queue depth, yielding both a
 //     denoised current depth and its slope in jobs/sec.
 //
-// From those it answers two questions the admission path asks on every
-// overload decision: Overloaded — will the queue exceed its capacity within
-// the look-ahead horizon if nothing changes? — and RetryAfter — how long
-// until the backlog drains to a comfortable level, i.e. the Retry-After
-// hint a 429 should carry instead of a fixed constant.
+// From those RetryAfter answers the question every 429 asks: how long
+// until the backlog drains to a comfortable level?
 //
 // All state updates take a timestamp from an injectable clock so tests can
 // replay exact trajectories; the zero Config uses wall time.
@@ -37,9 +34,6 @@ type Config struct {
 	// TrendHalfLife smooths the depth slope; slower than the level so a
 	// momentary spike does not read as a sustained ramp. Default 2*HalfLife.
 	TrendHalfLife time.Duration
-	// Horizon is how far ahead Overloaded projects the queue depth.
-	// Default 3s.
-	Horizon time.Duration
 	// Now supplies timestamps; nil uses time.Now. Tests inject a fake clock
 	// to make trajectories exact.
 	Now func() time.Time
@@ -52,9 +46,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TrendHalfLife <= 0 {
 		c.TrendHalfLife = 2 * c.HalfLife
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = 3 * time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -167,44 +158,14 @@ func (f *Forecaster) Forecast() Forecast {
 	}
 }
 
-// PredictedDepth projects the smoothed depth ahead by horizon along the
-// current trend, floored at zero.
-func (f *Forecaster) PredictedDepth(horizon time.Duration) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return max(0, f.level+f.trend*horizon.Seconds())
-}
-
-// Overloaded reports whether the queue is predicted to be at or beyond
-// queueCap within the configured horizon. It never fires while the queue is
-// actually shallow (below half capacity): predictive shedding exists to cut
-// off ramps before they hit the wall, not to refuse work an idle daemon
-// could absorb.
-func (f *Forecaster) Overloaded(queueCap int) bool {
-	if queueCap <= 0 {
-		return false
-	}
-	f.mu.Lock()
-	level, trend := f.level, f.trend
-	horizon := f.cfg.Horizon
-	f.mu.Unlock()
-	if level < float64(queueCap)/2 {
-		return false
-	}
-	return level+trend*horizon.Seconds() >= float64(queueCap)
-}
-
 // RetryAfter estimates how long a rejected client should wait before the
 // backlog has drained to half of queueCap, from the current depth and the
 // net drain rate (completions minus arrivals, falling back to the depth
 // trend when the rate estimators are cold). The hint is clamped to
-// [floor, 10s]: never below the configured static hint, never so large
-// that clients give up on a queue that turns over in seconds.
-func (f *Forecaster) RetryAfter(queueCap int, floor time.Duration) time.Duration {
-	const ceil = 10 * time.Second
-	if floor <= 0 {
-		floor = time.Second
-	}
+// [1s, 10s]: never below the header's one-second resolution, never so
+// large that clients give up on a queue that turns over in seconds.
+func (f *Forecaster) RetryAfter(queueCap int) time.Duration {
+	const floor, ceil = time.Second, 10 * time.Second
 	f.mu.Lock()
 	level, trend := f.level, f.trend
 	arr, comp := f.arrivalRate, f.completionRate

@@ -29,11 +29,7 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 func newTestForecaster(clk *fakeClock) *Forecaster {
-	return New(Config{
-		HalfLife: time.Second,
-		Horizon:  3 * time.Second,
-		Now:      clk.now,
-	})
+	return New(Config{HalfLife: time.Second, Now: clk.now})
 }
 
 // TestRatesConverge: a steady event stream converges the EWMA to the true
@@ -58,8 +54,7 @@ func TestRatesConverge(t *testing.T) {
 	}
 }
 
-// TestDepthTrend: a linear depth ramp yields a matching Holt slope and a
-// prediction that runs ahead of the current level.
+// TestDepthTrend: a linear depth ramp yields a matching Holt slope.
 func TestDepthTrend(t *testing.T) {
 	clk := newFakeClock()
 	f := newTestForecaster(clk)
@@ -72,48 +67,13 @@ func TestDepthTrend(t *testing.T) {
 	if fc.Slope < 1 || fc.Slope > 3 {
 		t.Fatalf("slope = %g jobs/s, want ~2", fc.Slope)
 	}
-	now := f.PredictedDepth(0)
-	ahead := f.PredictedDepth(2 * time.Second)
-	if ahead <= now {
-		t.Fatalf("prediction not ahead of level: now %g, +2s %g", now, ahead)
-	}
-}
-
-// TestOverloadedPredictsRamp: with the queue half full and growing, the
-// horizon projection trips Overloaded before the queue is actually full;
-// a flat shallow queue never trips it.
-func TestOverloadedPredictsRamp(t *testing.T) {
-	clk := newFakeClock()
-	f := newTestForecaster(clk)
-	const cap = 16
-	// Ramp from 0 to 15 over 5s: the lagged level sits past half cap with a
-	// ~3 jobs/s slope, so the 3s horizon projects beyond 16.
-	for i := 0; i <= 50; i++ {
-		f.ObserveDepth(i * 3 / 10)
-		clk.advance(100 * time.Millisecond)
-	}
-	if !f.Overloaded(cap) {
-		t.Fatalf("ramp to %g at %g/s did not predict overload of cap %d",
-			f.Forecast().Depth, f.Forecast().Slope, cap)
-	}
-
-	// A flat queue at depth 3 must never trip, whatever the horizon says.
-	clk2 := newFakeClock()
-	g := newTestForecaster(clk2)
-	for i := 0; i < 50; i++ {
-		g.ObserveDepth(3)
-		clk2.advance(100 * time.Millisecond)
-	}
-	if g.Overloaded(cap) {
-		t.Fatalf("flat depth 3 predicted overload of cap %d", cap)
-	}
 }
 
 // TestRetryAfterScalesWithBacklog: deeper backlogs and slower drains give
-// longer hints, clamped to [floor, 10s].
+// longer hints, clamped to [1s, 10s].
 func TestRetryAfterScalesWithBacklog(t *testing.T) {
 	const cap = 16
-	floor := time.Second
+	const floor = time.Second
 
 	build := func(depth int, arrivalsPerSec, completionsPerSec float64) *Forecaster {
 		clk := newFakeClock()
@@ -131,37 +91,31 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 		return f
 	}
 
-	// Shallow queue: the static floor.
-	if got := build(2, 0, 4).RetryAfter(cap, floor); got != floor {
+	// Shallow queue: the 1s floor.
+	if got := build(2, 0, 4).RetryAfter(cap); got != floor {
 		t.Fatalf("shallow queue hint = %v, want floor %v", got, floor)
 	}
 	// Deep queue draining at ~4/s net: (12-8)/4 = ~1s — above floor, below ceiling.
-	slow := build(12, 0, 4).RetryAfter(cap, floor)
+	slow := build(12, 0, 4).RetryAfter(cap)
 	if slow < floor || slow > 10*time.Second {
 		t.Fatalf("draining-queue hint = %v, want within [1s, 10s]", slow)
 	}
 	// Deep queue with arrivals outpacing completions: the 10s ceiling.
-	if got := build(14, 8, 2).RetryAfter(cap, floor); got != 10*time.Second {
+	if got := build(14, 8, 2).RetryAfter(cap); got != 10*time.Second {
 		t.Fatalf("growing-backlog hint = %v, want 10s ceiling", got)
 	}
 	// Hints must be monotone in backlog depth at a fixed drain rate.
-	if a, b := build(10, 0, 2).RetryAfter(cap, floor), build(15, 0, 2).RetryAfter(cap, floor); b < a {
+	if a, b := build(10, 0, 2).RetryAfter(cap), build(15, 0, 2).RetryAfter(cap); b < a {
 		t.Fatalf("hint shrank as backlog grew: depth 10 -> %v, depth 15 -> %v", a, b)
 	}
 }
 
 // TestColdStartIsHarmless: a fresh forecaster answers every query without
-// dividing by zero and without shedding anything.
+// dividing by zero and hints the 1s floor.
 func TestColdStartIsHarmless(t *testing.T) {
 	f := New(Config{})
-	if f.Overloaded(16) {
-		t.Fatal("cold forecaster predicted overload")
-	}
-	if got := f.RetryAfter(16, time.Second); got != time.Second {
+	if got := f.RetryAfter(16); got != time.Second {
 		t.Fatalf("cold RetryAfter = %v, want the 1s floor", got)
-	}
-	if d := f.PredictedDepth(time.Minute); d != 0 {
-		t.Fatalf("cold PredictedDepth = %g, want 0", d)
 	}
 	snap := f.Snapshot()
 	for k, v := range snap {
@@ -183,8 +137,7 @@ func TestConcurrentUse(t *testing.T) {
 				f.ObserveArrival()
 				f.ObserveCompletion()
 				f.ObserveDepth(j % 20)
-				f.Overloaded(16)
-				f.RetryAfter(16, time.Second)
+				f.RetryAfter(16)
 				f.Snapshot()
 			}
 		}()

@@ -3,12 +3,11 @@ package loadgen
 // BENCH_serve.json is the service-level performance trajectory: one
 // JSON-lines file whose first line is a versioned header and every later
 // line one load-harness run, appended over time so the latency/throughput
-// history of the service layer is tracked the same way BENCH_sim.json
-// tracks the engine. The reader is strict — unknown schema versions,
-// interior corruption, and torn tails are typed errors, never panics (see
-// FuzzTrajectoryReader) — while AppendRecord is lenient the way the
-// daemon's journals are: a tail torn by a killed psload is trimmed before
-// the new record is written.
+// history of the service layer stays comparable across changes. The
+// reader is strict — unknown schema versions, interior corruption, and
+// torn tails are typed errors, never panics (see FuzzTrajectoryReader) —
+// while AppendRecord is lenient the way the daemon's journals are: a tail
+// torn by a killed psload is trimmed before the new record is written.
 
 import (
 	"bytes"

@@ -1,7 +1,7 @@
 package serve
 
-// Surrogate serving and predictive admission: the daemon-side glue around
-// internal/surrogate and internal/forecast.
+// Surrogate serving and the Retry-After forecast: the daemon-side glue
+// around internal/surrogate and internal/forecast.
 //
 // An approx-mode submission ("mode": "approx" in the spec) is answered by
 // the analytic surrogate when it can certify the requested tolerance from
@@ -12,15 +12,11 @@ package serve
 // the daemon runs.
 //
 // The forecaster watches the queue: submissions and completions feed EWMA
-// rate estimators and a trend model of the queue depth. Its outputs drive
-// the Retry-After hint on 429 responses (how long until the backlog is
-// half-drained, instead of a fixed guess) and — when Config.ForecastAdmission
-// is set — predictive shedding: refusing work the forecast says will
-// overflow the queue within the horizon, before it is already full.
+// rate estimators and a trend model of the queue depth. Its output is the
+// Retry-After hint on 429 responses: how long until the backlog is
+// half-drained, instead of a fixed guess.
 
 import (
-	"time"
-
 	"prioritystar/internal/forecast"
 	"prioritystar/internal/surrogate"
 	"prioritystar/internal/sweep"
@@ -90,17 +86,3 @@ func (m *manager) trySurrogate(exp *sweep.Experiment) (JobStatus, bool) {
 // observeQueue feeds the forecaster the instantaneous queue depth; called
 // on every submission so the trend model tracks pressure between scrapes.
 func (m *manager) observeQueue() { m.fc.ObserveDepth(len(m.queue)) }
-
-// forecastShed reports whether predictive admission should refuse a new
-// job now: opt-in via Config.ForecastAdmission, and only when the depth
-// forecast says the queue will overflow within the horizon.
-func (m *manager) forecastShed() bool {
-	return m.cfg.ForecastAdmission && m.fc.Overloaded(m.cfg.QueueCap)
-}
-
-// retryAfterHint is the 429 Retry-After value: the forecaster's estimate of
-// when the backlog will have drained to half capacity, floored at the
-// configured static hint.
-func (m *manager) retryAfterHint() time.Duration {
-	return m.fc.RetryAfter(m.cfg.QueueCap, m.cfg.RetryAfter)
-}

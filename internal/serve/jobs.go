@@ -202,8 +202,8 @@ type manager struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 
-	// Surrogate serving and predictive admission (see approx.go). The index
-	// and forecaster are mutated under their own locks, not m.mu.
+	// Surrogate serving and the Retry-After forecast (see approx.go). The
+	// index and forecaster are mutated under their own locks, not m.mu.
 	sur *surrogate.Surrogate
 	ix  *surrogate.Index
 	fc  *forecast.Forecaster
@@ -362,14 +362,6 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 		}
 	}
 
-	// Predictive shed: refuse work the depth forecast says will overflow
-	// the queue within the horizon. Only real enqueues are shed — cached,
-	// deduped, and surrogate answers consume no queue slot.
-	if m.forecastShed() {
-		m.cfg.Metrics.Add("forecast_shed", 1)
-		return JobStatus{}, errQueueFull
-	}
-
 	j := m.newJobLocked(fp, exp)
 	// Copy the status before the job becomes visible to a worker: once it
 	// is on the queue a worker may mutate it concurrently.
@@ -487,18 +479,13 @@ func (m *manager) cancelJob(id string) bool {
 // queueDepth reports the number of queued-but-unstarted jobs.
 func (m *manager) queueDepth() int { return len(m.queue) }
 
-// inflight counts jobs not yet in a terminal state (queued, running, or
-// between retry attempts).
+// inflight counts accepted jobs not yet finished (queued, running, or
+// between retry attempts). Cache hits and surrogate answers never enter
+// the single-flight table, so they do not count.
 func (m *manager) inflight() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, j := range m.jobs {
-		if st := j.snapshot(); !st.Terminal() {
-			n++
-		}
-	}
-	return n
+	return len(m.active)
 }
 
 // worker drains the queue until drain() closes it.
@@ -751,15 +738,19 @@ func (m *manager) walTerminal(j *job) {
 }
 
 // finish retires the job from the single-flight table and counts it as a
-// completion for the queue forecaster (every accepted job passes through
-// here exactly once, whatever its terminal state).
+// completion for the queue forecaster. A job canceled while queued or in
+// retry backoff passes through here twice, from cancelJob and again when
+// its worker reaches it; only the call that removes it counts.
 func (m *manager) finish(j *job) {
 	m.mu.Lock()
-	if m.active[j.fingerprint] == j {
+	retired := m.active[j.fingerprint] == j
+	if retired {
 		delete(m.active, j.fingerprint)
 	}
 	m.mu.Unlock()
-	m.fc.ObserveCompletion()
+	if retired {
+		m.fc.ObserveCompletion()
+	}
 }
 
 // drain stops intake and waits for every accepted job — running and queued

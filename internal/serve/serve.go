@@ -71,9 +71,6 @@ type Config struct {
 	// JobTimeout arms a wall-clock guard on jobs that do not set their own;
 	// 0 leaves them unguarded.
 	JobTimeout time.Duration
-	// RetryAfter is the floor of the hint sent with 429 responses; the
-	// actual hint scales with the forecast queue-drain time. Default 1s.
-	RetryAfter time.Duration
 	// ApproxTol is the default relative error tolerance for approx-mode
 	// submissions whose spec does not set its own (0: the surrogate
 	// package default, 5%).
@@ -81,11 +78,6 @@ type Config struct {
 	// NoApprox disables the surrogate fast path: approx-mode submissions
 	// are executed exactly, as if they had not asked.
 	NoApprox bool
-	// ForecastAdmission enables predictive shedding: submissions that
-	// would enqueue are refused with 429 when the queue-depth forecast
-	// says the queue will overflow within the horizon, instead of waiting
-	// for it to actually fill.
-	ForecastAdmission bool
 	// ReadHeaderTimeout bounds how long a connection may dribble its request
 	// headers before being dropped (slow-loris defense). Default 5s.
 	ReadHeaderTimeout time.Duration
@@ -138,9 +130,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 16
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
 	switch {
 	case cfg.RetryBudget == 0:
 		cfg.RetryBudget = 2
@@ -188,11 +177,10 @@ func New(cfg Config) (*Server, error) {
 	// problem, so the skip count is a first-class metric, not just a log
 	// line. Registered even at zero so fleet dashboards can alarm on it.
 	cfg.Metrics.Add("journal_records_skipped", int64(c.skipped+walSkipped))
-	// Surrogate and forecast counters exist from boot (at zero) so the load
-	// harness and dashboards can read them unconditionally.
+	// Surrogate counters exist from boot (at zero) so the load harness and
+	// dashboards can read them unconditionally.
 	cfg.Metrics.Add("surrogate_hits", 0)
 	cfg.Metrics.Add("surrogate_fallbacks", 0)
-	cfg.Metrics.Add("forecast_shed", 0)
 	s := &Server{cfg: cfg, mgr: newManager(cfg, c, w, ckptDir, pending, maxSeq)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.instrument("submit", s.handleSubmit))
@@ -384,10 +372,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case err == nil:
 	case err == errQueueFull:
 		s.cfg.Metrics.Add("submits_rejected_429", 1)
-		// The hint tracks the forecast drain time of the backlog rather
-		// than a fixed constant, so clients back off proportionally to how
-		// overloaded the daemon actually is.
-		hint := s.mgr.retryAfterHint()
+		// The hint tracks the forecast time for the backlog to drain to
+		// half capacity rather than a fixed constant, so clients back off
+		// proportionally to how overloaded the daemon actually is.
+		hint := s.mgr.fc.RetryAfter(s.cfg.QueueCap)
 		w.Header().Set("Retry-After", strconv.Itoa(int((hint+time.Second-1)/time.Second)))
 		writeJSON(w, http.StatusTooManyRequests, errorDoc{Error: err.Error()})
 		return

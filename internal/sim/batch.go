@@ -258,11 +258,3 @@ func (b *BatchRunner) Run(batch Batch) ([]RepResult, error) {
 	wg.Wait()
 	return out, nil
 }
-
-// RunBatch executes a batch with a throwaway BatchRunner — the package-level
-// convenience mirroring Run. Callers issuing many batches should hold a
-// BatchRunner instead.
-func RunBatch(batch Batch) ([]RepResult, error) {
-	var b BatchRunner
-	return b.Run(batch)
-}

@@ -35,7 +35,7 @@ func seqResults(t *testing.T, base Config, seeds []uint64) []*Result {
 func assertBatchMatches(t *testing.T, name string, base Config, seeds []uint64, workers int) {
 	t.Helper()
 	want := seqResults(t, base, seeds)
-	got, err := RunBatch(Batch{Base: base, Seeds: seeds, Workers: workers})
+	got, err := (&BatchRunner{}).Run(Batch{Base: base, Seeds: seeds, Workers: workers})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -186,11 +186,11 @@ func TestBatchPanicIsolated(t *testing.T) {
 
 // TestBatchValidation rejects empty and invalid batches up front.
 func TestBatchValidation(t *testing.T) {
-	if _, err := RunBatch(Batch{}); err == nil {
+	if _, err := (&BatchRunner{}).Run(Batch{}); err == nil {
 		t.Error("empty batch accepted")
 	}
 	bad := Batch{Base: Config{}, Seeds: []uint64{1}}
-	if _, err := RunBatch(bad); err == nil {
+	if _, err := (&BatchRunner{}).Run(bad); err == nil {
 		t.Error("invalid base config accepted")
 	}
 }

@@ -35,13 +35,9 @@ import (
 	"prioritystar/internal/core"
 	"prioritystar/internal/fault"
 	"prioritystar/internal/finite"
-	"prioritystar/internal/forecast"
 	"prioritystar/internal/obs"
-	"prioritystar/internal/serve"
 	"prioritystar/internal/sim"
-	"prioritystar/internal/spec"
 	"prioritystar/internal/static"
-	"prioritystar/internal/surrogate"
 	"prioritystar/internal/sweep"
 	"prioritystar/internal/torus"
 	"prioritystar/internal/traffic"
@@ -89,14 +85,6 @@ type (
 	// SimRunner executes simulations while reusing internal buffers
 	// across runs; give each worker goroutine its own.
 	SimRunner = sim.Runner
-	// SimBatch describes R replications of one operating point (a shared
-	// config template plus one seed per replication) for SimulateBatch.
-	SimBatch = sim.Batch
-	// SimBatchRunner executes batches while reusing engine buffers across
-	// calls — the batched analogue of SimRunner.
-	SimBatchRunner = sim.BatchRunner
-	// RepResult is one replication's outcome within a batch.
-	RepResult = sim.RepResult
 	// DeliverEvent is the payload of SimConfig.OnDeliver tracing hooks.
 	DeliverEvent = sim.DeliverEvent
 	// Probe observes engine events when set on SimConfig.Probe; nil costs
@@ -243,12 +231,6 @@ func DimOrderFCFS(s *Shape) (*Scheme, error) { return core.DimOrderFCFS(s) }
 // Simulate executes one simulation run.
 func Simulate(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
-// SimulateBatch executes R replications of one operating point, sharing the
-// immutable topology and scheme tables across replications and sharding
-// them over worker goroutines. Each replication's Result is bit-identical
-// to a Simulate call with the same config and seed.
-func SimulateBatch(b SimBatch) ([]RepResult, error) { return sim.RunBatch(b) }
-
 // DefaultGuard returns watchdog thresholds sized for shape s: runs whose
 // backlog crosses a multiple of the link count, or grows monotonically
 // across consecutive windows, end early with StatusDiverged.
@@ -371,99 +353,3 @@ type (
 // dateline rule keeps wraparound rings deadlock-free; with VCs = 1 the
 // engine detects the classical store-and-forward deadlock.
 func SimulateFinite(cfg FiniteConfig) (*FiniteResult, error) { return finite.Run(cfg) }
-
-// Service layer (the starsimd daemon and its client; see internal/serve).
-type (
-	// ServerConfig tunes the simulation-as-a-service daemon.
-	ServerConfig = serve.Config
-	// Server is the daemon: worker pool, FIFO job queue with backpressure,
-	// and a content-addressed result cache keyed by spec fingerprints.
-	Server = serve.Server
-	// ServeClient talks to a running daemon over HTTP, retrying transient
-	// failures and reconnecting broken watch streams per its RetryPolicy.
-	ServeClient = serve.Client
-	// RetryPolicy shapes the client's self-healing behavior (capped
-	// exponential backoff with full jitter, honoring Retry-After).
-	RetryPolicy = serve.RetryPolicy
-	// JobStatus is one job's wire-format status.
-	JobStatus = serve.JobStatus
-	// ExperimentSpec is the portable JSON experiment document shared by
-	// spec files, the daemon API, and psctl.
-	ExperimentSpec = spec.Experiment
-)
-
-// Job lifecycle states.
-const (
-	JobQueued   = serve.StateQueued
-	JobRunning  = serve.StateRunning
-	JobDone     = serve.StateDone
-	JobFailed   = serve.StateFailed
-	JobCanceled = serve.StateCanceled
-	// JobQuarantined marks a job that exhausted its retry budget; the
-	// daemon keeps it visible but never retries it again.
-	JobQuarantined = serve.StateQuarantined
-)
-
-// EngineVersion identifies the simulation engine's result semantics; it is
-// folded into every spec fingerprint, so bumping it invalidates caches.
-const EngineVersion = sim.EngineVersion
-
-// NewServer builds a daemon from cfg: the cache is loaded and the worker
-// pool starts immediately; call Start to bind the HTTP listener (or
-// Handler to embed it).
-func NewServer(cfg ServerConfig) (*Server, error) { return serve.New(cfg) }
-
-// NewServeClient builds a client for a daemon at addr (host:port or URL)
-// with DefaultRetryPolicy installed.
-func NewServeClient(addr string) *ServeClient { return serve.NewClient(addr) }
-
-// DefaultRetryPolicy is the self-healing policy NewServeClient installs:
-// 4 retries under capped, fully-jittered exponential backoff.
-func DefaultRetryPolicy() RetryPolicy { return serve.DefaultRetryPolicy() }
-
-// IsQueueFull reports whether a client error is the daemon's 429
-// backpressure signal, so callers can retry with a delay.
-func IsQueueFull(err error) bool { return serve.IsQueueFull(err) }
-
-// Fingerprint returns the experiment's content address: a hash of the
-// canonical spec document plus EngineVersion that identifies what a
-// simulation will compute. Labels (ID, Title, Notes) and execution knobs
-// (Workers, Checkpoint, Progress, wall-clock timeouts) do not affect it.
-func Fingerprint(e *Experiment) (string, error) { return spec.Fingerprint(e) }
-
-// SpecFromExperiment converts a resolved experiment to its portable spec
-// document (for submission to a daemon or saving to a file).
-func SpecFromExperiment(e *Experiment) *ExperimentSpec { return spec.FromSweep(e) }
-
-// Surrogate serving (DESIGN.md §4h): a daemon may answer "mode": "approx"
-// submissions from the analytic model plus interpolation over its cache of
-// exact results, with explicit error bounds, instead of simulating.
-type (
-	// SurrogateIndex is the family-keyed anchor table built from exact
-	// result documents; feed it with AddResult/AddExact.
-	SurrogateIndex = surrogate.Index
-	// Surrogate answers sweep experiments from a SurrogateIndex, falling
-	// back (by returning an error from Evaluate) when it cannot certify
-	// the requested tolerance.
-	Surrogate = surrogate.Surrogate
-	// Forecaster tracks queue-pressure trajectories (EWMA rates + Holt
-	// depth trend) and drives predictive admission.
-	Forecaster = forecast.Forecaster
-	// ForecastConfig tunes a Forecaster; the zero value uses defaults.
-	ForecastConfig = forecast.Config
-)
-
-// NewSurrogateIndex returns an empty anchor index.
-func NewSurrogateIndex() *SurrogateIndex { return surrogate.NewIndex() }
-
-// NewSurrogate builds a surrogate over ix with the default tolerance.
-func NewSurrogate(ix *SurrogateIndex) *Surrogate { return surrogate.New(ix) }
-
-// NewForecaster builds a queue-pressure forecaster.
-func NewForecaster(cfg ForecastConfig) *Forecaster { return forecast.New(cfg) }
-
-// SurrogateEligible reports (as an error with the reason) whether an
-// experiment can be answered approximately at all: fault schedules,
-// result-affecting guards, bounded backlogs, and saturated loads are
-// ineligible and should be submitted in exact mode.
-func SurrogateEligible(e *Experiment) error { return surrogate.Eligible(e) }
