@@ -36,9 +36,11 @@ help:
 	@echo "                truncation, breakers, hedging, local degradation"
 	@echo "  lint          go vet + staticcheck (skipped gracefully if absent)"
 	@echo "  smoke-faults  watchdogged 4x4 sweep with injected faults"
-	@echo "  smoke-serve   starsimd daemon round trip: submit, cache hit, drain"
+	@echo "  smoke-serve   starsimd daemon round trip: submit, cache hit read"
+	@echo "                back by its id, drain"
 	@echo "  smoke-approx  surrogate round trip: exact anchor sweep, then an"
-	@echo "                approx submit answered without simulating"
+	@echo "                approx submit answered without simulating and"
+	@echo "                read back by its id"
 	@echo "  load          psload: 200-client mixed workload against an"
 	@echo "                in-process daemon -> append to BENCH_serve.json"
 	@echo "  load-smoke    5s, 200-client load acceptance run under -race:"
@@ -123,7 +125,8 @@ smoke-faults:
 
 # Smoke test of the service layer: boot starsimd on a free port, submit a
 # tiny sweep with psctl and watch it finish, resubmit the identical spec and
-# require a cache hit, then SIGTERM and require a clean drain.
+# require a cache hit whose id (the fingerprint) reads back the first job's
+# result byte for byte, then SIGTERM and require a clean drain.
 smoke-serve:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/ ./cmd/starsimd ./cmd/psctl || exit 1; \
@@ -134,12 +137,17 @@ smoke-serve:
 	[ -s $$tmp/addr ] || { cat $$tmp/daemon.log; kill $$pid 2>/dev/null; exit 1; }; \
 	addr=$$(cat $$tmp/addr); \
 	$$tmp/psctl -addr $$addr submit -shape 4x4 -rho 0.2 -reps 1 \
-		-warmup 100 -measure 400 -drain 100 -watch >/dev/null 2>&1 \
+		-warmup 100 -measure 400 -drain 100 -watch -out $$tmp/first.json >/dev/null 2>&1 \
 		|| { cat $$tmp/daemon.log; kill $$pid 2>/dev/null; exit 1; }; \
 	$$tmp/psctl -addr $$addr submit -shape 4x4 -rho 0.2 -reps 1 \
-		-warmup 100 -measure 400 -drain 100 2>/dev/null \
-		| grep -q '"cached": true' \
+		-warmup 100 -measure 400 -drain 100 >$$tmp/hit.txt 2>/dev/null; \
+	grep -q '"cached": true' $$tmp/hit.txt \
 		|| { echo "smoke-serve: resubmission was not served from cache"; \
+		     kill $$pid 2>/dev/null; exit 1; }; \
+	id=$$(sed -n 's/^  "id": "\(.*\)",$$/\1/p' $$tmp/hit.txt); \
+	$$tmp/psctl -addr $$addr result "$$id" >$$tmp/hit.json 2>/dev/null \
+		&& cmp -s $$tmp/first.json $$tmp/hit.json \
+		|| { echo "smoke-serve: cache hit $$id does not read back the first job's result"; \
 		     kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid \
 		|| { echo "smoke-serve: daemon did not drain cleanly"; exit 1; }; \
@@ -148,7 +156,7 @@ smoke-serve:
 # Smoke test of the surrogate fast path over a real socket: anchor a family
 # with an exact two-rho sweep, then submit an approx query between the
 # anchors and require a surrogate answer — terminal immediately, marked
-# approx, with the anchor interval recorded in the result document.
+# approx — whose result document psctl reads back by the answer's id.
 smoke-approx:
 	@tmp=$$(mktemp -d); \
 	$(GO) build -o $$tmp/ ./cmd/starsimd ./cmd/psctl || exit 1; \
@@ -162,10 +170,14 @@ smoke-approx:
 		-warmup 100 -measure 400 -drain 100 -watch >/dev/null 2>&1 \
 		|| { cat $$tmp/daemon.log; kill $$pid 2>/dev/null; exit 1; }; \
 	$$tmp/psctl -addr $$addr submit -shape 4x4 -rho 0.3 -reps 1 \
-		-warmup 100 -measure 400 -drain 100 -approx -approx-tol 2 2>/dev/null \
-		| grep -q '"approx": true' \
+		-warmup 100 -measure 400 -drain 100 -approx -approx-tol 2 >$$tmp/approx.txt 2>/dev/null; \
+	grep -q '"approx": true' $$tmp/approx.txt \
 		|| { echo "smoke-approx: approx submit was not surrogate-answered"; \
 		     cat $$tmp/daemon.log; kill $$pid 2>/dev/null; exit 1; }; \
+	id=$$(sed -n 's/^  "id": "\(.*\)",$$/\1/p' $$tmp/approx.txt); \
+	$$tmp/psctl -addr $$addr result "$$id" 2>/dev/null | grep -q '"approx":true' \
+		|| { echo "smoke-approx: approx answer $$id does not read back its result"; \
+		     kill $$pid 2>/dev/null; exit 1; }; \
 	kill -TERM $$pid; wait $$pid \
 		|| { echo "smoke-approx: daemon did not drain cleanly"; exit 1; }; \
 	rm -rf $$tmp; echo "smoke-approx: ok"

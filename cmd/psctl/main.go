@@ -3,12 +3,19 @@
 //	psctl submit -shape 8x8 -scheme priority-star -sweep 0.5,0.7 -watch
 //	psctl submit -shape 8x8 -rho 0.3 -approx        # surrogate fast path
 //	psctl submit -spec experiment.json
-//	psctl ls
+//	psctl ls                                        # queued jobs only
 //	psctl get j000001
 //	psctl watch j000001
 //	psctl result j000001 > result.json
 //	psctl cancel j000001
 //	psctl metrics
+//
+// An ID names a queued job (j000001) or an answer, a submission the daemon
+// completed at once. A cache hit's ID is its fingerprint (ps1-...), read
+// through the daemon's result cache, so it stays valid across restarts. A
+// surrogate answer's ID names the daemon process, which keeps only its
+// latest 1024 answers: read the result right after submitting (submit
+// -watch -out does), because an older ID reads as unknown.
 //
 // The daemon address comes from -addr, the PSCTL_ADDR environment
 // variable, or the default 127.0.0.1:7077, in that order.
@@ -35,7 +42,7 @@ func usage() {
 
 commands:
   submit   submit a job from -spec FILE or workload flags; -watch follows it
-  ls       list jobs in submission order
+  ls       list queued jobs in submission order (answers are not listed)
   get ID   print one job's status
   watch ID follow a job's progress to completion
   result ID  print a finished job's result document (verbatim cached bytes)

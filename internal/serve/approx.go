@@ -6,10 +6,10 @@ package serve
 // An approx-mode submission ("mode": "approx" in the spec) is answered by
 // the analytic surrogate when it can certify the requested tolerance from
 // the closed-form model plus the cache of exact results — a terminal "done"
-// job with zero simulation runs — and falls back to the normal queue when
-// it cannot. The anchor index is rebuilt from the cache journal at boot and
-// fed live as exact jobs finish, so the fast path gets better the longer
-// the daemon runs.
+// answer with zero simulation runs, kept in a fixed ring rather than the
+// job table — and falls back to the normal queue when it cannot. The anchor
+// index is rebuilt from the cache journal at boot and fed live as exact
+// jobs finish, so the fast path gets better the longer the daemon runs.
 //
 // The forecaster watches the queue: submissions and completions feed EWMA
 // rate estimators and a trend model of the queue depth. Its output is the
@@ -17,6 +17,10 @@ package serve
 // half-drained, instead of a fixed guess.
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+
 	"prioritystar/internal/forecast"
 	"prioritystar/internal/surrogate"
 	"prioritystar/internal/sweep"
@@ -54,33 +58,48 @@ func (m *manager) initApprox() {
 	m.fc = forecast.New(forecast.Config{})
 }
 
-// trySurrogate attempts to answer an approx-mode submission without
-// simulating. Returns the terminal status and true on success; the caller
-// holds m.mu.
-func (m *manager) trySurrogate(exp *sweep.Experiment) (JobStatus, bool) {
+// approxRing is how many surrogate answers stay readable by handle; an
+// older handle reads 404, like one from before a restart.
+const approxRing = 1024
+
+// evalSurrogate evaluates and encodes the surrogate's answer to an
+// approx-mode submission. It runs without m.mu held.
+func (m *manager) evalSurrogate(exp *sweep.Experiment) ([]byte, error) {
 	ev, err := m.sur.Evaluate(exp)
 	if err != nil {
-		m.cfg.Metrics.Add("surrogate_fallbacks", 1)
-		m.logf("serve: surrogate fallback for %s: %v", exp.Fingerprint, err)
-		return JobStatus{}, false
+		return nil, err
 	}
-	body, err := ev.Encode(exp.Fingerprint, m.cfg.engine)
+	return ev.Encode(exp.Fingerprint, m.cfg.engine)
+}
+
+// answerLocked serves an approx-mode submission from its surrogate
+// evaluation (body, or err when the surrogate declined). Returns the
+// terminal status and true on success; the caller holds m.mu.
+func (m *manager) answerLocked(exp *sweep.Experiment, body []byte, err error) (JobStatus, bool) {
 	if err != nil {
 		m.cfg.Metrics.Add("surrogate_fallbacks", 1)
 		m.logf("serve: surrogate fallback for %s: %v", exp.Fingerprint, err)
 		return JobStatus{}, false
 	}
 	m.cfg.Metrics.Add("surrogate_hits", 1)
-	// A terminal pseudo-job like a cache hit, but marked Approx and NOT
-	// cached: the cache holds only exact results (the surrogate must never
-	// anchor on its own answers), and an exact submission of the same spec
-	// still runs the real simulation.
-	j := m.newJobLocked(exp.Fingerprint, nil)
-	j.result = body
-	j.status.State = StateDone
-	j.status.Approx = true
-	j.status.FinishedAt = j.status.SubmittedAt
+	// The answer goes to the ring, NOT the cache: the cache holds only exact
+	// results (the surrogate must never anchor on its own answers), and an
+	// exact submission of the same spec still runs the real simulation.
+	m.answered++
+	t := now()
+	j := answer(JobStatus{ID: fmt.Sprintf("%s-a%d", m.bootID, m.answered), State: StateDone,
+		Fingerprint: exp.Fingerprint, Approx: true, SubmittedAt: t, FinishedAt: t}, body)
+	m.answers[m.answered%approxRing] = j
 	return j.status, true
+}
+
+// ringLocked finds the surrogate answer with handle id while the ring still
+// holds it; the caller holds m.mu. Any other id lands on a slot whose
+// answer has a different handle.
+func (m *manager) ringLocked(id string) (*job, bool) {
+	n, _ := strconv.ParseUint(strings.TrimPrefix(id, m.bootID+"-a"), 10, 64)
+	j := m.answers[n%approxRing]
+	return j, j != nil && j.id == id
 }
 
 // observeQueue feeds the forecaster the instantaneous queue depth; called

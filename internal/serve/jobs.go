@@ -2,11 +2,11 @@ package serve
 
 // The job manager: a bounded FIFO queue feeding a fixed pool of workers,
 // with single-flight deduplication on the spec fingerprint. Submitting a
-// spec whose fingerprint is cached completes instantly from the cache;
-// submitting one that is already queued or running returns the in-flight
-// job instead of enqueueing a second simulation; everything else joins the
-// queue or — when the queue is full — is refused with errQueueFull so the
-// HTTP layer can answer 429 with a Retry-After hint.
+// spec whose fingerprint is cached completes instantly from the cache, with
+// no job record; submitting one that is already queued or running returns
+// the in-flight job instead of enqueueing a second simulation; everything
+// else joins the queue or — when the queue is full — is refused with
+// errQueueFull so the HTTP layer can answer 429 with a Retry-After hint.
 //
 // Failure handling: each job has a retry budget. A failing attempt backs
 // off exponentially and re-runs (resuming from its checkpoint journal when
@@ -96,7 +96,8 @@ type statusEvent struct {
 	st  JobStatus
 }
 
-// job is the server-side record of one submission.
+// job is the server-side record of one queued submission; answer gives a
+// result that was never queued the same shape.
 type job struct {
 	id          string
 	fingerprint string
@@ -188,14 +189,16 @@ type manager struct {
 	cache   *cache
 	wal     *wal   // nil when crash recovery is disabled
 	ckptDir string // per-job sweep checkpoints; "" when WAL disabled
-	bootID  string // namespaces SSE event IDs across daemon restarts
+	bootID  string // namespaces SSE event IDs and approx handles across restarts
 
 	mu       sync.Mutex
 	draining bool
 	seq      int
-	jobs     map[string]*job
-	order    []string        // submission order, for listing
-	active   map[string]*job // fingerprint -> queued/running job
+	jobs     map[string]*job  // every job ever queued; answers are not recorded
+	order    []string         // submission order, for listing
+	active   map[string]*job  // fingerprint -> queued/running job
+	answers  [approxRing]*job // recent surrogate answers, by answered mod approxRing
+	answered uint64           // surrogate answers so far
 
 	queue   chan *job
 	wg      sync.WaitGroup
@@ -318,12 +321,19 @@ func (m *manager) logf(format string, args ...any) {
 // now returns the wall-clock timestamp format used in statuses.
 func now() string { return time.Now().UTC().Format(time.RFC3339) }
 
-// submit resolves one submission: cache hit, single-flight dedup, or a new
-// queued job. The returned status tells the caller which happened.
+// submit resolves one submission: cache hit, single-flight dedup, surrogate
+// answer, or a new queued job; the returned status says which.
 func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	fp := exp.Fingerprint
 	if fp == "" {
 		return JobStatus{}, fmt.Errorf("serve: experiment has no fingerprint")
+	}
+	// The surrogate evaluates before the lock, so no submit or read waits on
+	// it; the answer is used only if the cache and dedup rungs do not answer.
+	var approx []byte
+	var approxErr error
+	if exp.Approx && !m.cfg.NoApprox {
+		approx, approxErr = m.evalSurrogate(exp)
 	}
 
 	m.mu.Lock()
@@ -333,15 +343,12 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	}
 	m.observeQueue()
 
-	// Content-addressed hit: answer from the cache without running.
-	if body, ok := m.cache.get(fp); ok {
+	// Content-addressed hit: answer from the cache without running or
+	// recording anything. The fingerprint is the handle (see get).
+	if _, ok := m.cache.get(fp); ok {
 		m.cfg.Metrics.Add("cache_hits", 1)
-		j := m.newJobLocked(fp, nil)
-		j.result = body
-		j.status.State = StateDone
-		j.status.Cached = true
-		j.status.FinishedAt = j.status.SubmittedAt
-		return j.status, nil
+		t := now()
+		return JobStatus{ID: fp, State: StateDone, Fingerprint: fp, Cached: true, SubmittedAt: t, FinishedAt: t}, nil
 	}
 	m.cfg.Metrics.Add("cache_misses", 1)
 
@@ -357,23 +364,28 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	// After the cache and dedup checks so an exact result (present or in
 	// flight) always wins over an approximation of it.
 	if exp.Approx && !m.cfg.NoApprox {
-		if st, ok := m.trySurrogate(exp); ok {
+		if st, ok := m.answerLocked(exp, approx, approxErr); ok {
 			return st, nil
 		}
 	}
 
-	j := m.newJobLocked(fp, exp)
+	m.seq++
+	j := &job{id: fmt.Sprintf("j%06d", m.seq), fingerprint: fp, exp: exp}
+	j.status = JobStatus{
+		ID: j.id, State: StateQueued, Fingerprint: fp,
+		Total:       len(exp.Schemes) * len(exp.Rhos) * exp.Reps,
+		SubmittedAt: now(),
+	}
 	// Copy the status before the job becomes visible to a worker: once it
 	// is on the queue a worker may mutate it concurrently.
 	st := j.status
 	select {
 	case m.queue <- j:
 	default:
-		// Queue full: drop the job record and push back.
-		delete(m.jobs, j.id)
-		m.order = m.order[:len(m.order)-1]
 		return JobStatus{}, errQueueFull
 	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
 	m.active[fp] = j
 	m.cfg.Metrics.Add("jobs_queued", 1)
 	m.fc.ObserveArrival()
@@ -398,37 +410,32 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	return st, nil
 }
 
-// newJobLocked allocates a job record; the caller holds m.mu.
-func (m *manager) newJobLocked(fp string, exp *sweep.Experiment) *job {
-	m.seq++
-	j := &job{
-		id:          fmt.Sprintf("j%06d", m.seq),
-		fingerprint: fp,
-		exp:         exp,
-		status: JobStatus{
-			State:       StateQueued,
-			Fingerprint: fp,
-			SubmittedAt: now(),
-		},
-	}
-	j.status.ID = j.id
-	if exp != nil {
-		j.status.Total = len(exp.Schemes) * len(exp.Rhos) * exp.Reps
-	}
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
-	return j
+// answer is a terminal view of a result that was never queued: a cache hit
+// or a surrogate answer. It is not in the job table.
+func answer(st JobStatus, body []byte) *job {
+	return &job{id: st.ID, fingerprint: st.Fingerprint, status: st, result: body}
 }
 
-// get returns a job by ID.
+// get returns a job by ID, or an answer by its handle: a surrogate answer
+// while the ring still holds it, or a cached fingerprint as done over the
+// cached bytes.
 func (m *manager) get(id string) (*job, bool) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
-	return j, ok
+	if !ok {
+		j, ok = m.ringLocked(id)
+	}
+	m.mu.Unlock()
+	if ok {
+		return j, true
+	}
+	if body, ok := m.cache.get(id); ok {
+		return answer(JobStatus{ID: id, State: StateDone, Fingerprint: id, Cached: true}, body), true
+	}
+	return nil, false
 }
 
-// list returns every job's status in submission order.
+// list returns every queued job's status in submission order.
 func (m *manager) list() []JobStatus {
 	m.mu.Lock()
 	ids := append([]string(nil), m.order...)
@@ -443,12 +450,9 @@ func (m *manager) list() []JobStatus {
 }
 
 // cancelJob cancels a queued or running job (best effort: a queued job is
-// canceled when a worker picks it up and finds its context dead).
-func (m *manager) cancelJob(id string) bool {
-	j, ok := m.get(id)
-	if !ok {
-		return false
-	}
+// canceled when a worker picks it up and finds its context dead). A
+// terminal job or an answer is left as it is.
+func (m *manager) cancelJob(j *job) {
 	j.mu.Lock()
 	cancel := j.cancel
 	queued := j.status.State == StateQueued
@@ -473,7 +477,6 @@ func (m *manager) cancelJob(id string) bool {
 			m.finish(j)
 		}
 	}
-	return true
 }
 
 // queueDepth reports the number of queued-but-unstarted jobs.
@@ -722,10 +725,9 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 	}
 }
 
-// walTerminal journals a job's terminal transition (no-op for cache-hit
-// pseudo-jobs, which were never journaled as accepted).
+// walTerminal journals a job's terminal transition.
 func (m *manager) walTerminal(j *job) {
-	if m.wal == nil || j.exp == nil {
+	if m.wal == nil {
 		return
 	}
 	st := j.snapshot()

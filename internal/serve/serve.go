@@ -7,11 +7,13 @@
 //
 // API surface (all JSON):
 //
-//	POST   /v1/jobs            submit a spec; 200 cached / 202 accepted /
-//	                           400 bad spec / 429 queue full (Retry-After) /
-//	                           503 draining
-//	GET    /v1/jobs            list jobs in submission order
-//	GET    /v1/jobs/{id}        one job's status
+//	POST   /v1/jobs            submit a spec; 200 answered (cache hit or
+//	                           surrogate) / 202 queued / 400 bad spec /
+//	                           429 queue full (Retry-After) / 503 draining
+//	GET    /v1/jobs            list queued jobs in submission order
+//	GET    /v1/jobs/{id}        one job's status; every {id} route also takes
+//	                           an answer's handle: a cache hit's fingerprint,
+//	                           or a recent surrogate answer's ID
 //	GET    /v1/jobs/{id}/result the result document (202 while running)
 //	GET    /v1/jobs/{id}/events SSE status stream (progress + terminal)
 //	DELETE /v1/jobs/{id}        cancel (best effort)
@@ -305,7 +307,7 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 	return j.snapshot(), true
 }
 
-// Jobs returns every job's status in submission order.
+// Jobs returns every queued job's status in submission order.
 func (s *Server) Jobs() []JobStatus { return s.mgr.list() }
 
 // Metrics returns the daemon's metric set.
@@ -389,7 +391,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	code := http.StatusAccepted
-	if st.Cached {
+	if st.Terminal() {
 		code = http.StatusOK
 	}
 	writeJSON(w, code, st)
@@ -478,12 +480,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.mgr.cancelJob(id) {
+	j, ok := s.mgr.get(r.PathValue("id"))
+	if !ok {
 		writeJSON(w, http.StatusNotFound, errorDoc{Error: "unknown job"})
 		return
 	}
-	j, _ := s.mgr.get(id)
+	s.mgr.cancelJob(j)
 	writeJSON(w, http.StatusOK, j.snapshot())
 }
 
