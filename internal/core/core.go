@@ -298,20 +298,28 @@ type Hop struct {
 //     initiates the ring broadcasts of phases p+1, ..., d-1.
 //
 // dir is the direction the copy was travelling in (ignored for the source).
-// The returned hops are appended to buf to avoid allocation in the
-// simulator's hot path.
+// ending must lie in [0, d) and phase in [-1, d). The returned hops are
+// appended to buf to avoid allocation in the simulator's hot path.
 func BroadcastForward(s *torus.Shape, ending, phase int, dir torus.Dir, hopsLeft int, rng *rand.Rand, buf []Hop) []Hop {
 	d := s.Dims()
+	// dim walks the rotated order, orderDim(d, ending, q) for q = phase,
+	// phase+1, ...; ending+1+phase < 2d, so one subtraction wraps it.
+	dim := ending + 1 + phase
+	if dim >= d {
+		dim -= d
+	}
 	if phase >= 0 && hopsLeft > 0 {
 		buf = append(buf, Hop{
 			Phase:    phase,
-			Dim:      orderDim(d, ending, phase),
+			Dim:      dim,
 			Dir:      dir,
 			HopsLeft: hopsLeft - 1,
 		})
 	}
 	for q := phase + 1; q < d; q++ {
-		dim := orderDim(d, ending, q)
+		if dim++; dim == d {
+			dim = 0
+		}
 		first, second, count := ringSplit(s.Dim(dim), rng)
 		if count >= 1 {
 			buf = append(buf, Hop{Phase: q, Dim: dim, Dir: first.Dir, HopsLeft: first.HopsLeft})

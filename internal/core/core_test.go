@@ -504,3 +504,26 @@ func TestBroadcastForwardAppendsToBuf(t *testing.T) {
 		t.Error("BroadcastForward should reuse the provided buffer")
 	}
 }
+
+// TestBroadcastForwardFollowsOrder checks every hop's dimension against
+// orderDim for every ending, phase and ring position on tori of one to four
+// dimensions: the forward pass steps the rotated order with a wrap instead
+// of a modulus.
+func TestBroadcastForwardFollowsOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, dims := range [][]int{{5}, {4, 6}, {2, 3, 4}, {3, 3, 3, 3}} {
+		s := torus.MustNew(dims...)
+		d := s.Dims()
+		for ending := 0; ending < d; ending++ {
+			for phase := -1; phase < d; phase++ {
+				for _, hopsLeft := range []int{0, 1} {
+					for _, h := range BroadcastForward(s, ending, phase, torus.Plus, hopsLeft, rng, nil) {
+						if want := orderDim(d, ending, h.Phase); h.Dim != want {
+							t.Errorf("%v ending %d phase %d: hop %+v, want dim %d", dims, ending, phase, h, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

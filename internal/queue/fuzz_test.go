@@ -7,9 +7,9 @@ import (
 
 // applyOps drives a FIFO and a naive slice model through the same operation
 // sequence, checking they agree after every step. Each byte of ops encodes
-// one operation; the low bits select among Push, PushSlot, Pop, PopRef,
-// Peek, and (rarely) Reset, and the byte value doubles as the pushed
-// payload, so any byte string is a valid program.
+// one operation; the low bits select between Push and Pop, with (rarely) a
+// Reset, and Peek checks the head after every step. Any byte string is a
+// valid program.
 func applyOps(t *testing.T, ops []byte) {
 	t.Helper()
 	var q FIFO[int]
@@ -35,17 +35,12 @@ func applyOps(t *testing.T, ops []byte) {
 
 	for i, b := range ops {
 		switch b % 8 {
-		case 0, 1: // Push with a unique payload
+		case 0, 1, 2: // Push with a unique payload
 			seq++
 			q.Push(seq)
 			model = append(model, seq)
 			check("Push", i)
-		case 2: // PushSlot fill-in-place
-			seq++
-			*q.PushSlot() = seq
-			model = append(model, seq)
-			check("PushSlot", i)
-		case 3, 4: // Pop
+		case 3, 4, 5, 6: // Pop
 			v, ok := q.Pop()
 			if ok != (len(model) > 0) {
 				t.Fatalf("op %d: Pop ok=%t with %d modeled elements", i, ok, len(model))
@@ -57,18 +52,6 @@ func applyOps(t *testing.T, ops []byte) {
 				model = model[1:]
 			}
 			check("Pop", i)
-		case 5, 6: // PopRef
-			p, ok := q.PopRef()
-			if ok != (len(model) > 0) {
-				t.Fatalf("op %d: PopRef ok=%t with %d modeled elements", i, ok, len(model))
-			}
-			if ok {
-				if *p != model[0] {
-					t.Fatalf("op %d: PopRef %d, model head %d", i, *p, model[0])
-				}
-				model = model[1:]
-			}
-			check("PopRef", i)
 		case 7:
 			if b < 16 { // rare: full Reset
 				q.Reset()
@@ -101,7 +84,7 @@ func applyOps(t *testing.T, ops []byte) {
 }
 
 // FuzzFIFO differential-checks the ring buffer against a naive slice model:
-// identical results for every Push/PushSlot/Pop/PopRef/Peek/Reset program,
+// identical results for every Push/Pop/Peek/Reset program,
 // with the capacity always zero or a power of two. The wrap arithmetic
 // (head+n)&(len(buf)-1) only works under that invariant, so this is the
 // test that guards it.

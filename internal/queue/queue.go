@@ -32,19 +32,6 @@ func (q *FIFO[T]) Push(v T) {
 	q.n++
 }
 
-// PushSlot appends an element slot to the tail and returns a pointer to
-// it for the caller to fill in place, saving a copy of T. The slot holds
-// stale contents (it is not zeroed); the caller must assign every field.
-// The pointer is valid only until the next Push, PushSlot, or Reset.
-func (q *FIFO[T]) PushSlot() *T {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	v := &q.buf[(q.head+q.n)&(len(q.buf)-1)]
-	q.n++
-	return v
-}
-
 func (q *FIFO[T]) grow() {
 	newCap := len(q.buf) * 2 // doubling keeps the capacity a power of two
 	if newCap == 0 {
@@ -70,22 +57,6 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	}
 	v := q.buf[q.head]
 	q.buf[q.head] = zero // release references for GC
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return v, true
-}
-
-// PopRef removes the head element and returns a pointer to its slot in
-// the backing array, avoiding a copy. The slot is not cleared: the pointer
-// is valid only until the next Push, Reset, or PopRef-followed-by-Push on
-// this queue, and popped slots keep their old contents. It is intended for
-// hot paths moving plain value types; element types holding references
-// should use Pop, which zeroes the slot for the garbage collector.
-func (q *FIFO[T]) PopRef() (*T, bool) {
-	if q.n == 0 {
-		return nil, false
-	}
-	v := &q.buf[q.head]
 	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.n--
 	return v, true
@@ -144,13 +115,6 @@ func (m *MultiClass[T]) Push(c int, v T) {
 	m.total++
 }
 
-// PushSlot appends a slot to class c's tail and returns a pointer for the
-// caller to fill in place (see FIFO.PushSlot for the contract).
-func (m *MultiClass[T]) PushSlot(c int) *T {
-	m.total++
-	return m.classes[c].PushSlot()
-}
-
 // Pop dequeues the head of the highest-priority nonempty class, returning
 // the element and its class.
 func (m *MultiClass[T]) Pop() (T, int, bool) {
@@ -162,19 +126,6 @@ func (m *MultiClass[T]) Pop() (T, int, bool) {
 	}
 	var zero T
 	return zero, -1, false
-}
-
-// PopRef is Pop without the copy: it dequeues the head of the
-// highest-priority nonempty class and returns a pointer into that class's
-// backing array. See FIFO.PopRef for the pointer's validity rules.
-func (m *MultiClass[T]) PopRef() (*T, int, bool) {
-	for c := range m.classes {
-		if v, ok := m.classes[c].PopRef(); ok {
-			m.total--
-			return v, c, true
-		}
-	}
-	return nil, -1, false
 }
 
 // Peek returns the element Pop would return, without removing it.

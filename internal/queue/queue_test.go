@@ -304,67 +304,3 @@ func TestMultiClassResetKeepsClassCapacity(t *testing.T) {
 		t.Fatalf("Push/Pop after Reset = %d class %d, %v", v, c, ok)
 	}
 }
-
-// TestFIFORefVariantsMatchValueAPI drives a FIFO through a mixed
-// PushSlot/PopRef workload mirrored against a value-API FIFO and a plain
-// slice model: the in-place variants must observe the exact same sequence.
-func TestFIFORefVariantsMatchValueAPI(t *testing.T) {
-	var ref, val FIFO[int]
-	var model []int
-	next := 0
-	for step := 0; step < 400; step++ {
-		if step%7 < 4 { // push-biased so the ring grows and wraps
-			*ref.PushSlot() = next
-			val.Push(next)
-			model = append(model, next)
-			next++
-			continue
-		}
-		rv, rok := ref.PopRef()
-		vv, vok := val.Pop()
-		if rok != vok {
-			t.Fatalf("step %d: PopRef ok=%v, Pop ok=%v", step, rok, vok)
-		}
-		if !rok {
-			if len(model) != 0 {
-				t.Fatalf("step %d: queues empty but model has %d", step, len(model))
-			}
-			continue
-		}
-		if *rv != vv || vv != model[0] {
-			t.Fatalf("step %d: PopRef=%d Pop=%d model=%d", step, *rv, vv, model[0])
-		}
-		model = model[1:]
-	}
-	if ref.Len() != val.Len() || ref.Len() != len(model) {
-		t.Fatalf("final lengths diverged: ref=%d val=%d model=%d", ref.Len(), val.Len(), len(model))
-	}
-}
-
-// TestMultiClassPushSlotPopRef checks priority order and class bookkeeping
-// through the in-place API, including a PopRef on a fully empty queue.
-func TestMultiClassPushSlotPopRef(t *testing.T) {
-	m := NewMultiClass[string](3)
-	if v, c, ok := m.PopRef(); ok || v != nil || c != -1 {
-		t.Fatalf("PopRef on empty = %v, %d, %v", v, c, ok)
-	}
-	*m.PushSlot(2) = "low"
-	*m.PushSlot(0) = "high"
-	*m.PushSlot(1) = "mid"
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", m.Len())
-	}
-	want := []struct {
-		v string
-		c int
-	}{{"high", 0}, {"mid", 1}, {"low", 2}}
-	for i, w := range want {
-		v, c, ok := m.PopRef()
-		if !ok || *v != w.v || c != w.c {
-			t.Fatalf("PopRef %d = %q class %d ok=%v, want %q class %d", i, *v, c, ok, w.v, w.c)
-		}
-	}
-	if m.Len() != 0 {
-		t.Fatalf("Len after draining = %d", m.Len())
-	}
-}

@@ -6,10 +6,10 @@ package sim
 // all mutable per-replication state private. The batch is sharded across
 // workers in contiguous rep stripes — replications never communicate, so
 // the sharding is barrier-free — and within a stripe the replications
-// advance in lockstep slot-by-slot, their bulk state (busy tables, inflight
-// slots, ready bitmaps) carved from one contiguous struct-of-arrays arena
-// so the sweep streams through adjacent memory instead of re-faulting a
-// cold heap per run.
+// advance in lockstep slot-by-slot, their bulk state (busy tables, queue
+// counts, inflight slots, ready bitmaps) carved from one contiguous
+// struct-of-arrays arena so the sweep streams through adjacent memory
+// instead of re-faulting a cold heap per run.
 //
 // Determinism contract: every replication is bit-identical to a sequential
 // Runner.Run with the same Config (Base with Seeds[i] substituted). This
@@ -60,7 +60,7 @@ type RepResult struct {
 // never a correctness requirement.
 type batchArena struct {
 	i64 []int64
-	pkt []packet
+	i32 []int32
 	u64 []uint64
 }
 
@@ -73,13 +73,13 @@ func (a *batchArena) int64s(n int) []int64 {
 	return make([]int64, n)
 }
 
-func (a *batchArena) packets(n int) []packet {
-	if a != nil && n <= len(a.pkt) {
-		v := a.pkt[:n:n]
-		a.pkt = a.pkt[n:]
+func (a *batchArena) int32s(n int) []int32 {
+	if a != nil && n <= len(a.i32) {
+		v := a.i32[:n:n]
+		a.i32 = a.i32[n:]
 		return v
 	}
-	return make([]packet, n)
+	return make([]int32, n)
 }
 
 func (a *batchArena) uint64s(n int) []uint64 {
@@ -119,14 +119,14 @@ func (s *batchShard) prepare(reps, slots int) {
 	w1 := (w0 + 63) / 64
 	s.arena = batchArena{
 		i64: make([]int64, 2*n*slots),  // busyUntil + busySlots
-		pkt: make([]packet, n*slots),   // inflight
+		i32: make([]int32, 2*n*slots),  // queued + inflight
 		u64: make([]uint64, n*(w0+w1)), // ready bitmap levels
 	}
 	for _, e := range s.engines {
 		// Dropping the old buffers forces reset to re-carve from the
-		// fresh arena; queues and wheels keep their heap rings (they are
-		// per-rep dynamic structures, not part of the SoA block).
-		e.busyUntil, e.busySlots, e.inflight = nil, nil, nil
+		// fresh arena; slabs, queues and wheels keep their heap arrays
+		// (they are per-rep dynamic structures, not part of the SoA block).
+		e.busyUntil, e.busySlots, e.queued, e.inflight = nil, nil, nil, nil
 		e.ready = linkBitmap{}
 		e.arena = &s.arena
 	}

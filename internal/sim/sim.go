@@ -328,12 +328,12 @@ const (
 	kindUnicast
 )
 
-// packet is the in-network representation of one copy. It is kept small
-// and copied by value through the queues.
+// packet is the in-network representation of one copy: 40 bytes, written
+// once into the engine's slab (engine.pkts). Queues and in-flight slots
+// carry its 4-byte handle, the packet's index in the slab.
 type packet struct {
 	birth    int64
 	enq      int64 // enqueue time at the current output queue
-	task     int64 // broadcast task key (measured tasks only; -1 otherwise)
 	taskIdx  int32 // dense index into engine.tasks (measured broadcasts)
 	dest     torus.Node
 	tieMask  uint32
@@ -343,17 +343,18 @@ type packet struct {
 	ending   int8
 	phase    int8
 	dir      torus.Dir
-	hopsLeft int16
 	measured bool
+	hopsLeft int16
 }
 
 // bcastState tracks one in-flight measured broadcast task. States live in a
 // dense slice indexed by packet.taskIdx; completed slots are recycled
 // through a free list, so steady-state measurement allocates no per-task
-// memory. The task *key* (packet.task, surfaced via DeliverEvent.Task)
-// stays a plain monotone counter and is never recycled.
+// memory. The task key (surfaced via DeliverEvent.Task) stays a plain
+// monotone counter and is never recycled.
 type bcastState struct {
 	birth     int64
+	key       int64
 	remaining int32
 	lost      int32 // copies lost to permanently failed links
 }
@@ -370,18 +371,28 @@ type engine struct {
 	wEnd    int64
 	horizon int64
 
-	queues    []queue.MultiClass[packet]
-	classes   int          // priority classes per queue (for reuse checks)
+	// pkts is the packet slab: every queued or in-flight packet is written
+	// here once and travels as its handle. freePkts is a LIFO stack of free
+	// handles, so an entry freed by a delivery is the next one reused.
+	pkts     []packet
+	freePkts []int32
+
+	// queues[l*classes+c] holds the handles of class-c packets waiting
+	// for link l, and queued[l] counts them over every class, so testing
+	// a link for work is one load.
+	queues    []queue.FIFO[int32]
+	queued    []int32
+	classes   int          // priority classes per link
 	busyUntil []int64      // slot at which each link's transmission completes
 	busySlots []int64      // busy slots within the window, per link
 	linkDst   []torus.Node // shared per-shape table (torus.LinkTables)
 	linkDim   []int32      // shared per-shape table (torus.LinkTables)
 
-	// inflight[l] is the packet currently transmitting on link l; the
-	// timing wheel stores only link IDs, so a completion event is 4 bytes
-	// instead of a full packet copy. A link carries at most one packet at
-	// a time, making one slot per link sufficient.
-	inflight []packet
+	// inflight[l] is the handle of the packet transmitting on link l; the
+	// timing wheel stores only link IDs, so a completion event is 4 bytes.
+	// A link carries at most one packet at a time, making one slot per
+	// link sufficient.
+	inflight []int32
 	wheel    linkWheel
 
 	// ready collects the links that may start a transmission this slot:
@@ -415,11 +426,11 @@ type engine struct {
 	downFn   func(dim int, dir torus.Dir) bool
 
 	// arena, when non-nil, supplies the bulk per-replication buffers
-	// (busyUntil, busySlots, inflight, ready bitmap) from a contiguous
-	// struct-of-arrays block shared by every replication of a batch, so the
-	// batched runner's lockstep sweep streams through adjacent memory
-	// instead of pointer-chasing a cold heap per rep. nil (the sequential
-	// runners) falls back to plain make.
+	// (busyUntil, busySlots, queued, inflight, ready bitmap) from a
+	// contiguous struct-of-arrays block shared by every replication of a
+	// batch, so the batched runner's lockstep sweep streams through
+	// adjacent memory instead of pointer-chasing a cold heap per rep. nil
+	// (the sequential runners) falls back to plain make.
 	arena *batchArena
 
 	// Guard state, resolved from cfg.Guard by reset.
@@ -435,11 +446,11 @@ type engine struct {
 }
 
 // Runner executes simulations while reusing the engine's internal buffers
-// (queues, timing wheel, task table) across calls. A sweep that runs many
-// simulations of the same shape on one goroutine should reuse a Runner:
-// after the first run the hot path is allocation-free. The zero value is
-// ready to use. A Runner is not safe for concurrent use; give each worker
-// goroutine its own.
+// (packet slab, queues, timing wheel, task table) across calls. A sweep
+// that runs many simulations of the same shape on one goroutine should reuse
+// a Runner: after the first run the hot path is allocation-free. The zero
+// value is ready to use. A Runner is not safe for concurrent use; give each
+// worker goroutine its own.
 type Runner struct {
 	e engine
 }
@@ -481,7 +492,7 @@ func Run(cfg Config) (*Result, error) {
 
 // release drops references the engine no longer needs so a pooled Runner
 // does not pin the caller's shape, scheme, callbacks, or results. Bulk
-// value buffers (queues, wheel, tables) are kept for reuse.
+// value buffers (slab, queues, wheel, tables) are kept for reuse.
 func (e *engine) release() {
 	e.cfg = Config{}
 	e.s = nil
@@ -497,8 +508,8 @@ func (e *engine) release() {
 }
 
 // reset prepares the engine for cfg, reusing buffers from any previous run
-// when the link-slot count and class count match. It fails only when the
-// fault schedule does not compile against the shape.
+// when their sizes match. It fails only when the fault schedule does not
+// compile against the shape.
 func (e *engine) reset(cfg Config) error {
 	slots := cfg.Shape.LinkSlots()
 	classes := cfg.Scheme.Discipline.Classes()
@@ -522,30 +533,33 @@ func (e *engine) reset(cfg Config) error {
 		e.maxBack = 4_000_000
 	}
 
-	if len(e.queues) == slots && e.classes == classes {
-		for l := range e.queues {
-			e.queues[l].Reset()
+	// Every handle an earlier run left queued or in flight (it ended
+	// early) dies with the queues and the wheel below.
+	e.pkts = e.pkts[:0]
+	e.freePkts = e.freePkts[:0]
+	if len(e.queues) == slots*classes {
+		for i := range e.queues {
+			e.queues[i].Reset()
 		}
 	} else {
-		e.queues = make([]queue.MultiClass[packet], 0, slots)
-		for i := 0; i < slots; i++ {
-			e.queues = append(e.queues, *queue.NewMultiClass[packet](classes))
-		}
-		e.classes = classes
+		e.queues = make([]queue.FIFO[int32], slots*classes)
 	}
+	e.classes = classes
 	if len(e.busyUntil) == slots {
 		clear(e.busyUntil)
 		clear(e.busySlots)
+		clear(e.queued)
 	} else {
 		e.busyUntil = e.arena.int64s(slots)
 		e.busySlots = e.arena.int64s(slots)
+		e.queued = e.arena.int32s(slots)
 	}
 	e.ready.init(slots, e.arena)
 	e.linkDst, e.linkDim = e.s.LinkTables()
 	if len(e.inflight) != slots {
 		// No clearing on reuse: an inflight slot is read only when the
 		// wheel holds the link's ID, and the wheel is emptied below.
-		e.inflight = e.arena.packets(slots)
+		e.inflight = e.arena.int32s(slots)
 	}
 	e.wheel.reset()
 	e.tasks = e.tasks[:0]
@@ -786,8 +800,8 @@ func (w *linkWheel) recycle(links []torus.LinkID) {
 
 // linkBitmap is a two-level bitmap over the link-slot index space: one bit
 // per link in l0, one bit per nonzero l0 word in l1. It gives O(1)
-// deduplicated marking and an ascending-order sweep whose cost is
-// proportional to the number of marked words, which is what makes the
+// deduplicated marking, and serviceReady walks it in ascending order at a
+// cost proportional to the number of marked words, which is what makes the
 // event-driven service pass both cheap and deterministic (links are always
 // visited in ascending LinkID order, matching the historical full scan).
 type linkBitmap struct {
@@ -796,8 +810,8 @@ type linkBitmap struct {
 }
 
 // init sizes the bitmap for the given number of link slots, reusing the
-// previous words when the size matches (they are always left cleared by
-// sweep, but clear defensively so a truncated run cannot leak marks). A
+// previous words when the size matches (the service pass always leaves them
+// cleared, but clear defensively so a truncated run cannot leak marks). A
 // non-nil arena supplies the words from the batch's shared SoA block.
 func (b *linkBitmap) init(slots int, a *batchArena) {
 	w0 := (slots + 63) / 64
@@ -815,27 +829,6 @@ func (b *linkBitmap) set(l torus.LinkID) {
 	w := uint(l) >> 6
 	b.l0[w] |= 1 << (uint(l) & 63)
 	b.l1[w>>6] |= 1 << (w & 63)
-}
-
-// sweep calls fn for every marked link in ascending order, clearing the
-// bitmap as it goes. fn must not mark new links.
-func (b *linkBitmap) sweep(fn func(l torus.LinkID)) {
-	for w1, m1 := range b.l1 {
-		if m1 == 0 {
-			continue
-		}
-		b.l1[w1] = 0
-		for m1 != 0 {
-			w0 := w1<<6 + bits.TrailingZeros64(m1)
-			m1 &= m1 - 1
-			m0 := b.l0[w0]
-			b.l0[w0] = 0
-			for m0 != 0 {
-				fn(torus.LinkID(w0<<6 + bits.TrailingZeros64(m0)))
-				m0 &= m0 - 1
-			}
-		}
-	}
 }
 
 // markReady queues link l for examination by serviceReady this slot. Links
@@ -856,18 +849,39 @@ func (e *engine) deliverArrivals() {
 	}
 	for _, l := range arrivals {
 		e.markReady(l) // the link just went idle; it may have queue
-		pkt := &e.inflight[l]
+		h := e.inflight[l]
 		node := e.linkDst[l]
-		if pkt.kind == kindUnicast {
-			e.deliverUnicast(node, pkt)
+		if e.pkts[h].kind == kindUnicast {
+			e.deliverUnicast(node, h)
 		} else {
-			e.deliverBroadcast(node, pkt)
+			e.deliverBroadcast(node, h)
 		}
 	}
 	e.wheel.recycle(arrivals)
 }
 
-func (e *engine) deliverUnicast(node torus.Node, pkt *packet) {
+// newPacket returns the handle of a free slab entry for the caller to fill,
+// reusing the most recently freed one. Growing the slab may move it, so a
+// pointer into it is valid only until the next newPacket.
+func (e *engine) newPacket() int32 {
+	if n := len(e.freePkts); n > 0 {
+		h := e.freePkts[n-1]
+		e.freePkts = e.freePkts[:n-1]
+		return h
+	}
+	e.pkts = append(e.pkts, packet{})
+	return int32(len(e.pkts) - 1)
+}
+
+// freePacket returns slab entry h to the free stack.
+func (e *engine) freePacket(h int32) {
+	e.freePkts = append(e.freePkts, h)
+}
+
+// deliverUnicast hands unicast packet h to node: it is freed at its
+// destination and keeps its handle for the next hop otherwise.
+func (e *engine) deliverUnicast(node torus.Node, h int32) {
+	pkt := &e.pkts[h]
 	if e.cfg.OnDeliver != nil {
 		e.cfg.OnDeliver(DeliverEvent{
 			Slot: e.now, Node: node, Birth: pkt.birth, Task: -1,
@@ -882,34 +896,47 @@ func (e *engine) deliverUnicast(node torus.Node, pkt *packet) {
 			e.res.Unicast.Add(float64(e.now - pkt.birth))
 			e.res.IncompleteUnicasts--
 		}
+		e.freePacket(h)
 		return
 	}
-	e.routeUnicast(node, pkt)
+	e.routeUnicast(node, h)
 }
 
-// routeUnicast enqueues pkt on its next hop out of node. Fault-free runs use
-// the deterministic-oblivious shortest path; with faults active the packet
-// routes minimally adaptively: any live profitable link is taken (preferring
-// the oblivious choice), and when every profitable link is down the packet
-// waits on the preferred one.
-func (e *engine) routeUnicast(node torus.Node, pkt *packet) {
+// routeUnicast enqueues unicast packet h on its next hop out of node.
+// Fault-free runs use the deterministic-oblivious shortest path; with faults
+// active the packet routes minimally adaptively: any live profitable link is
+// taken (preferring the oblivious choice), and when every profitable link is
+// down the packet waits on the preferred one.
+func (e *engine) routeUnicast(node torus.Node, h int32) {
+	dest, tieMask := e.pkts[h].dest, e.pkts[h].tieMask
 	if e.faults == nil {
-		dim, dir, _ := core.UnicastNextHop(e.s, node, pkt.dest, pkt.tieMask)
-		e.enqueue(node, dim, dir, pkt)
+		dim, dir, _ := core.UnicastNextHop(e.s, node, dest, tieMask)
+		e.enqueue(e.s.Link(node, dim, dir), dim, h)
 		return
 	}
 	e.adaptCur = node
-	dim, dir, _, done := core.UnicastNextHopAdaptive(e.s, node, pkt.dest, pkt.tieMask, e.downFn)
+	dim, dir, _, done := core.UnicastNextHopAdaptive(e.s, node, dest, tieMask, e.downFn)
 	if done {
+		e.freePacket(h)
 		return
 	}
-	e.enqueue(node, dim, dir, pkt)
+	e.enqueue(e.s.Link(node, dim, dir), dim, h)
 }
 
-func (e *engine) deliverBroadcast(node torus.Node, pkt *packet) {
+// deliverBroadcast hands broadcast copy h to node and forwards its children.
+// The copy leaves the slab first: its entry is freed so the first child
+// reuses it, and the children are built from a stack copy because adding
+// them may grow, and so move, the slab.
+func (e *engine) deliverBroadcast(node torus.Node, h int32) {
+	pkt := e.pkts[h]
+	e.freePacket(h)
 	if e.cfg.OnDeliver != nil {
+		task := int64(-1)
+		if pkt.measured {
+			task = e.tasks[pkt.taskIdx].key
+		}
 		e.cfg.OnDeliver(DeliverEvent{
-			Slot: e.now, Node: node, Birth: pkt.birth, Task: pkt.task,
+			Slot: e.now, Node: node, Birth: pkt.birth, Task: task,
 			Broadcast: true, Final: true,
 		})
 	}
@@ -925,7 +952,7 @@ func (e *engine) deliverBroadcast(node torus.Node, pkt *packet) {
 		}
 	}
 	e.hopBuf = core.BroadcastForward(e.s, int(pkt.ending), int(pkt.phase), pkt.dir, int(pkt.hopsLeft), e.rng, e.hopBuf[:0])
-	e.forwardHops(node, pkt)
+	e.forwardHops(node, &pkt)
 }
 
 // finishTask closes the dense state slot of a measured broadcast task whose
@@ -949,15 +976,15 @@ func (e *engine) finishTask(idx int32) {
 	e.liveTasks--
 }
 
-// dropSubtree accounts for a broadcast copy that would cross the permanently
-// failed link l: the copy and every descendant it would have spawned are
-// lost. The copy covers hopsLeft+1 nodes along its own ring, each of which
-// would have seeded subtrees spanning all later phases of the task's
-// dimension order.
-func (e *engine) dropSubtree(l torus.LinkID, pkt *packet) {
-	lost := int64(pkt.hopsLeft) + 1
+// dropSubtree accounts for the child hop of broadcast copy pkt that would
+// cross the permanently failed link l: the child and every descendant it
+// would have spawned are lost. The child covers hop.HopsLeft+1 nodes along
+// its own ring, each of which would have seeded subtrees spanning all later
+// phases of the task's dimension order.
+func (e *engine) dropSubtree(l torus.LinkID, pkt *packet, hop core.Hop) {
+	lost := int64(hop.HopsLeft) + 1
 	d := e.s.Dims()
-	for q := int(pkt.phase) + 1; q < d; q++ {
+	for q := hop.Phase + 1; q < d; q++ {
 		lost *= int64(e.s.Dim(core.OrderDim(d, int(pkt.ending), q)))
 	}
 	if e.probe != nil {
@@ -975,33 +1002,39 @@ func (e *engine) dropSubtree(l torus.LinkID, pkt *packet) {
 	}
 }
 
-// forwardHops enqueues the hops currently in hopBuf on behalf of pkt.
+// forwardHops enqueues a child copy of broadcast packet pkt out of node for
+// each hop in hopBuf. pkt must not point into the slab, which the children
+// may grow.
 func (e *engine) forwardHops(node torus.Node, pkt *packet) {
-	for _, h := range e.hopBuf {
-		next := *pkt
-		next.phase = int8(h.Phase)
-		next.dir = h.Dir
-		next.hopsLeft = int16(h.HopsLeft)
-		next.class = uint8(e.sch.BroadcastClass(h.Dim, int(pkt.ending)))
-		e.enqueue(node, h.Dim, h.Dir, &next)
+	for _, hop := range e.hopBuf {
+		l := e.s.Link(node, hop.Dim, hop.Dir)
+		if e.faults != nil && e.faults.Permanent(l) {
+			// A broadcast copy follows a fixed tree; a permanently dead
+			// edge severs its whole subtree. Transient faults merely
+			// delay: the copy queues and waits for the link to heal.
+			e.dropSubtree(l, pkt, hop)
+			continue
+		}
+		h := e.newPacket()
+		next := &e.pkts[h]
+		*next = *pkt
+		next.phase = int8(hop.Phase)
+		next.dir = hop.Dir
+		next.hopsLeft = int16(hop.HopsLeft)
+		next.class = uint8(e.sch.BroadcastClass(hop.Dim, int(pkt.ending)))
+		e.enqueue(l, hop.Dim, h)
 	}
 }
 
-func (e *engine) enqueue(node torus.Node, dim int, dir torus.Dir, pkt *packet) {
-	l := e.s.Link(node, dim, dir)
-	if e.faults != nil && pkt.kind == kindBroadcast && e.faults.Permanent(l) {
-		// A broadcast copy follows a fixed tree; a permanently dead edge
-		// severs its whole subtree. Transient faults merely delay: the
-		// copy queues and waits for the link to heal.
-		e.dropSubtree(l, pkt)
-		return
-	}
-	slot := e.queues[l].PushSlot(int(pkt.class))
-	*slot = *pkt
-	slot.enq = e.now
+// enqueue queues slab packet h on link l, of dimension dim, in its class.
+func (e *engine) enqueue(l torus.LinkID, dim int, h int32) {
+	pkt := &e.pkts[h]
+	pkt.enq = e.now
+	e.queues[int(l)*e.classes+int(pkt.class)].Push(h)
+	e.queued[l]++
 	e.backlog++
 	if e.probe != nil {
-		e.probe.Enqueue(e.now, l, dim, int(pkt.class), e.queues[l].Len())
+		e.probe.Enqueue(e.now, l, dim, int(pkt.class), int(e.queued[l]))
 	}
 	if e.busyUntil[l] <= e.now {
 		e.markReady(l) // idle link gained work; examine it this slot
@@ -1050,9 +1083,10 @@ func (e *engine) generateImpulse(measured bool) {
 }
 
 // newTask allocates a dense state slot for a measured broadcast task,
-// recycling slots of completed tasks.
+// recycling slots of completed tasks, and gives the task the next key.
 func (e *engine) newTask() int32 {
-	st := bcastState{birth: e.now, remaining: int32(e.s.Size() - 1)}
+	st := bcastState{birth: e.now, key: e.nextTask, remaining: int32(e.s.Size() - 1)}
+	e.nextTask++
 	e.liveTasks++
 	if n := len(e.freeTasks); n > 0 {
 		k := e.freeTasks[n-1]
@@ -1071,15 +1105,12 @@ func (e *engine) spawnBroadcast(src torus.Node, measured bool) {
 	ending := e.sch.SampleEnding(e.rng)
 	pkt := packet{
 		birth:    e.now,
-		task:     -1,
 		length:   int32(e.sampleLength()),
 		kind:     kindBroadcast,
 		ending:   int8(ending),
 		measured: measured,
 	}
 	if measured {
-		pkt.task = e.nextTask
-		e.nextTask++
 		pkt.taskIdx = e.newTask()
 		e.res.GeneratedBroadcasts++
 	}
@@ -1091,9 +1122,9 @@ func (e *engine) spawnUnicast(src, dest torus.Node, measured bool) {
 	if e.probe != nil {
 		e.probe.Spawn(e.now, false, measured)
 	}
-	pkt := packet{
+	h := e.newPacket()
+	e.pkts[h] = packet{
 		birth:    e.now,
-		task:     -1,
 		dest:     dest,
 		tieMask:  core.SampleTieMask(e.rng, e.s.Dims()),
 		length:   int32(e.sampleLength()),
@@ -1105,7 +1136,7 @@ func (e *engine) spawnUnicast(src, dest torus.Node, measured bool) {
 		e.res.GeneratedUnicasts++
 		e.res.IncompleteUnicasts++ // decremented on delivery
 	}
-	e.routeUnicast(src, &pkt)
+	e.routeUnicast(src, h)
 }
 
 func (e *engine) sampleLength() int {
@@ -1118,50 +1149,77 @@ func (e *engine) sampleLength() int {
 }
 
 // serviceReady starts a new transmission on every ready link with queued
-// packets. The bitmap sweep visits links in ascending LinkID order, which
-// reproduces the exact service order of the historical full scan and keeps
-// same-seed runs bit-identical.
+// packets, clearing the ready bitmap as it walks it. The walk visits links
+// in ascending LinkID order, which reproduces the exact service order of
+// the historical full scan and keeps same-seed runs bit-identical. Nothing
+// in the pass marks a link ready.
 func (e *engine) serviceReady() {
 	t := e.now
-	e.ready.sweep(func(l torus.LinkID) {
-		q := &e.queues[l]
-		if q.Len() == 0 {
-			return // completion with an empty queue: link simply goes idle
+	b := &e.ready
+	for w1, m1 := range b.l1 {
+		if m1 == 0 {
+			continue
 		}
-		if e.faults != nil {
-			if down, until := e.faults.DownUntil(l, t); down {
-				// The link is failed this slot: its queue waits. A
-				// transient fault schedules a wake-up for the promised
-				// recovery slot; a permanent one (until < 0) never heals,
-				// so the queue is abandoned (adaptive unicast avoids such
-				// links unless no profitable alternative exists).
-				if e.probe != nil {
-					e.probe.Fault(t, l, until < 0, 0)
+		b.l1[w1] = 0
+		for m1 != 0 {
+			w0 := w1<<6 + bits.TrailingZeros64(m1)
+			m1 &= m1 - 1
+			m0 := b.l0[w0]
+			b.l0[w0] = 0
+			for ; m0 != 0; m0 &= m0 - 1 {
+				l := torus.LinkID(w0<<6 + bits.TrailingZeros64(m0))
+				// A link that completed with an empty queue simply goes idle.
+				if e.queued[l] != 0 {
+					e.serviceLink(l, t)
 				}
-				if until >= 0 {
-					e.scheduleRecovery(l, until)
-				}
-				return
 			}
 		}
-		pkt, class, _ := q.PopRef()
-		e.backlog--
-		if t >= e.wStart && t < e.wEnd {
-			e.res.QueueWait[class].Add(float64(t - pkt.enq))
+	}
+}
+
+// serviceLink starts transmitting the head-of-line packet of ready link l,
+// whose queue is not empty, at slot t: the lowest nonempty class goes
+// first.
+func (e *engine) serviceLink(l torus.LinkID, t int64) {
+	if e.faults != nil {
+		if down, until := e.faults.DownUntil(l, t); down {
+			// The link is failed this slot: its queue waits. A transient
+			// fault schedules a wake-up for the promised recovery slot; a
+			// permanent one (until < 0) never heals, so the queue is
+			// abandoned (adaptive unicast avoids such links unless no
+			// profitable alternative exists).
+			if e.probe != nil {
+				e.probe.Fault(t, l, until < 0, 0)
+			}
+			if until >= 0 {
+				e.scheduleRecovery(l, until)
+			}
+			return
 		}
-		if e.probe != nil {
-			e.probe.Service(t, l, int(e.linkDim[l]), class, pkt.length, t-pkt.enq)
-		}
-		length := int64(pkt.length)
-		e.busyUntil[l] = t + length
-		e.busySlots[l] += overlap(t, t+length, e.wStart, e.wEnd)
-		// The packet rides in the link's inflight slot until completion;
-		// the wheel carries only the link ID. pkt points into the queue's
-		// ring buffer and stays valid: nothing can Push to this queue
-		// before the copy below.
-		e.inflight[l] = *pkt
-		e.wheel.add(t+length, l)
-	})
+	}
+	class := 0
+	q := &e.queues[int(l)*e.classes]
+	for q.Len() == 0 {
+		class++
+		q = &e.queues[int(l)*e.classes+class]
+	}
+	h, _ := q.Pop()
+	e.queued[l]--
+	e.backlog--
+	pkt := &e.pkts[h]
+	if t >= e.wStart && t < e.wEnd {
+		e.res.QueueWait[class].Add(float64(t - pkt.enq))
+	}
+	if e.probe != nil {
+		e.probe.Service(t, l, int(e.linkDim[l]), class, pkt.length, t-pkt.enq)
+	}
+	length := int64(pkt.length)
+	e.busyUntil[l] = t + length
+	e.busySlots[l] += overlap(t, t+length, e.wStart, e.wEnd)
+	// The handle rides in the link's inflight slot until completion; the
+	// wheel carries only the link ID.
+	e.inflight[l] = h
+	e.wheel.add(t+length, l)
 }
 
 // overlap returns the length of [a,b) ∩ [lo,hi).
