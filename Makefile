@@ -60,7 +60,7 @@ help:
 	@echo "  clean         remove generated outputs"
 
 # The race detector over the packages with shared state (parallel sweeps,
-# lazy per-shape link tables, pooled runners, fault timelines, the daemon's
+# lazy per-shape link tables, batch rep stripes, fault timelines, the daemon's
 # worker pool, cache, and journals).
 race:
 	$(GO) test -race ./internal/sim ./internal/queue ./internal/torus ./internal/sweep ./internal/obs ./internal/fault ./internal/serve ./internal/journal ./internal/loadgen ./internal/cluster ./internal/chaosnet ./internal/surrogate ./internal/forecast

@@ -2,15 +2,18 @@ package cluster
 
 // Every entry point computes one spec's result through the same
 // Subjobs -> executor -> Assemble path, so every one of them must produce
-// the same bits: the local sweep, a resume of it, the fleet, a fleet resume
-// of a journal the local sweep wrote, the fleet degraded to local
-// execution, and the daemon with and without the fleet behind it.
+// the same bits: the local sweep, a resume of it, a resume of the journal
+// the starsim binary wrote, the fleet, a fleet resume of a journal the
+// local sweep wrote, the fleet degraded to local execution, and the daemon
+// with and without the fleet behind it.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -92,8 +95,19 @@ func daemonResult(t *testing.T, cl *serve.Client, doc []byte) []byte {
 	return body
 }
 
+// buildStarsim compiles the starsim command into a temporary directory.
+func buildStarsim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "starsim")
+	if out, err := exec.Command("go", "build", "-o", bin, "prioritystar/cmd/starsim").CombinedOutput(); err != nil {
+		t.Fatalf("building starsim: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // TestEntryPointsAgree is the cross-entry-point differential table.
 func TestEntryPointsAgree(t *testing.T) {
+	starsim := buildStarsim(t)
 	fleet, fsrv := startCoordinator(t, CoordinatorConfig{
 		Heartbeat: 50 * time.Millisecond, LeaseTTL: 30 * time.Second,
 	})
@@ -179,7 +193,28 @@ func TestEntryPointsAgree(t *testing.T) {
 			resume("resumed-run", (*sweep.Experiment).Run)
 			resume("resumed-fleet", fleet.RunJob)
 
-			res, err := fleet.RunJob(decodeSpec(t, doc))
+			// The starsim binary journals every rep of the spec, so a resume
+			// of its journal replays them all and simulates nothing. A spec
+			// the watchdog cuts short exits 3 (partial data).
+			specPath := filepath.Join(dir, "spec.json")
+			if err := os.WriteFile(specPath, doc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			exp := decodeSpec(t, doc)
+			exp.Checkpoint = filepath.Join(dir, "starsim.jsonl")
+			out, err := exec.Command(starsim, "-spec", specPath, "-checkpoint", exp.Checkpoint).CombinedOutput()
+			var exit *exec.ExitError
+			if err != nil && !(name == "guard" && errors.As(err, &exit) && exit.ExitCode() == 3) {
+				t.Fatalf("starsim: %v\n%s", err, out)
+			}
+			exp.Resume = true
+			res, err := exp.Run()
+			check("starsim", res, err)
+			if all := exp.Reps * len(exp.Schemes) * len(exp.Rhos); err == nil && res.ResumedReps != all {
+				t.Errorf("starsim journal resumed %d reps, want all %d", res.ResumedReps, all)
+			}
+
+			res, err = fleet.RunJob(decodeSpec(t, doc))
 			check("fleet", res, err)
 			res, err = cutOff.RunJob(decodeSpec(t, doc))
 			check("degraded", res, err)

@@ -89,7 +89,6 @@ func (q *FIFO[T]) Reset() {
 // — in the simulator a packet in transmission is never interrupted).
 type MultiClass[T any] struct {
 	classes []FIFO[T]
-	total   int
 }
 
 // NewMultiClass creates a queue with the given number of priority classes.
@@ -100,19 +99,9 @@ func NewMultiClass[T any](classes int) *MultiClass[T] {
 	return &MultiClass[T]{classes: make([]FIFO[T], classes)}
 }
 
-// Classes returns the number of priority classes.
-func (m *MultiClass[T]) Classes() int { return len(m.classes) }
-
-// Len returns the total number of queued elements across all classes.
-func (m *MultiClass[T]) Len() int { return m.total }
-
-// LenClass returns the number of elements queued in class c.
-func (m *MultiClass[T]) LenClass(c int) int { return m.classes[c].Len() }
-
 // Push enqueues v in priority class c (0 = highest priority).
 func (m *MultiClass[T]) Push(c int, v T) {
 	m.classes[c].Push(v)
-	m.total++
 }
 
 // Pop dequeues the head of the highest-priority nonempty class, returning
@@ -120,30 +109,9 @@ func (m *MultiClass[T]) Push(c int, v T) {
 func (m *MultiClass[T]) Pop() (T, int, bool) {
 	for c := range m.classes {
 		if v, ok := m.classes[c].Pop(); ok {
-			m.total--
 			return v, c, true
 		}
 	}
 	var zero T
 	return zero, -1, false
-}
-
-// Peek returns the element Pop would return, without removing it.
-func (m *MultiClass[T]) Peek() (T, int, bool) {
-	for c := range m.classes {
-		if v, ok := m.classes[c].Peek(); ok {
-			return v, c, true
-		}
-	}
-	var zero T
-	return zero, -1, false
-}
-
-// Reset empties every class while keeping each class's backing array for
-// reuse (see FIFO.Reset).
-func (m *MultiClass[T]) Reset() {
-	for c := range m.classes {
-		m.classes[c].Reset()
-	}
-	m.total = 0
 }

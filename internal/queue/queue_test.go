@@ -106,12 +106,6 @@ func TestMultiClassPriorityOrder(t *testing.T) {
 	m.Push(0, "high2")
 	m.Push(2, "low2")
 
-	if m.Len() != 5 {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if m.LenClass(0) != 2 || m.LenClass(1) != 1 || m.LenClass(2) != 2 {
-		t.Fatal("per-class lengths wrong")
-	}
 	want := []struct {
 		v string
 		c int
@@ -119,9 +113,6 @@ func TestMultiClassPriorityOrder(t *testing.T) {
 		{"high1", 0}, {"high2", 0}, {"mid1", 1}, {"low1", 2}, {"low2", 2},
 	}
 	for i, w := range want {
-		if v, c, ok := m.Peek(); !ok || v != w.v || c != w.c {
-			t.Fatalf("Peek #%d = %q class %d", i, v, c)
-		}
 		v, c, ok := m.Pop()
 		if !ok || v != w.v || c != w.c {
 			t.Fatalf("Pop #%d = %q class %d, want %q class %d", i, v, c, w.v, w.c)
@@ -129,9 +120,6 @@ func TestMultiClassPriorityOrder(t *testing.T) {
 	}
 	if _, _, ok := m.Pop(); ok {
 		t.Error("Pop on drained MultiClass should fail")
-	}
-	if _, _, ok := m.Peek(); ok {
-		t.Error("Peek on drained MultiClass should fail")
 	}
 }
 
@@ -163,12 +151,6 @@ func TestMultiClassHighPreemptsQueueOrder(t *testing.T) {
 	}
 }
 
-func TestMultiClassClasses(t *testing.T) {
-	if NewMultiClass[int](3).Classes() != 3 {
-		t.Error("Classes() wrong")
-	}
-}
-
 func TestNewMultiClassPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -176,39 +158,6 @@ func TestNewMultiClassPanics(t *testing.T) {
 		}
 	}()
 	NewMultiClass[int](0)
-}
-
-func TestMultiClassLenTracksTotal(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, 9))
-		m := NewMultiClass[int](3)
-		count := 0
-		for op := 0; op < 300; op++ {
-			if rng.IntN(2) == 0 || count == 0 {
-				m.Push(rng.IntN(3), op)
-				count++
-			} else {
-				if _, _, ok := m.Pop(); !ok {
-					return false
-				}
-				count--
-			}
-			if m.Len() != count {
-				return false
-			}
-			sum := 0
-			for c := 0; c < 3; c++ {
-				sum += m.LenClass(c)
-			}
-			if sum != count {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestFIFOCapacityPowerOfTwo(t *testing.T) {
@@ -272,35 +221,5 @@ func TestFIFOResetReleasesReferences(t *testing.T) {
 		if q.buf[i] != nil {
 			t.Fatalf("buf[%d] still holds a reference after Reset", i)
 		}
-	}
-}
-
-func TestMultiClassResetKeepsClassCapacity(t *testing.T) {
-	m := NewMultiClass[int](3)
-	for i := 0; i < 200; i++ {
-		m.Push(i%3, i)
-	}
-	caps := make([]int, 3)
-	for c := range caps {
-		caps[c] = m.classes[c].Cap()
-	}
-	m.Reset()
-	if m.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", m.Len())
-	}
-	for c := 0; c < 3; c++ {
-		if m.LenClass(c) != 0 {
-			t.Fatalf("class %d not empty after Reset", c)
-		}
-		if m.classes[c].Cap() != caps[c] {
-			t.Fatalf("class %d capacity changed across Reset: %d -> %d", c, caps[c], m.classes[c].Cap())
-		}
-	}
-	if _, _, ok := m.Pop(); ok {
-		t.Fatal("Pop after Reset should fail")
-	}
-	m.Push(1, 42)
-	if v, c, ok := m.Pop(); !ok || v != 42 || c != 1 {
-		t.Fatalf("Push/Pop after Reset = %d class %d, %v", v, c, ok)
 	}
 }

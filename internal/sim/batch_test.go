@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"prioritystar/internal/balance"
@@ -180,6 +181,47 @@ func TestBatchPanicIsolated(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rr.Result, want[i]) {
 			t.Errorf("rep %d after panic batch differs from sequential", i)
+		}
+	}
+}
+
+// TestBatchPanicMidStripe: a stripe runs its replications on one reused
+// engine, so the rep after a panicked one starts from an engine the panic
+// left mid-slot, with packets queued and in flight. Only the batch's first
+// delivery panics: that rep, the first of its stripe, reports its own
+// error, and every other rep, the later ones on its stripe included, still
+// matches its sequential reference.
+func TestBatchPanicMidStripe(t *testing.T) {
+	cfg := detCase(t, []int{4, 4}, 0.3, 1, core.TwoLevel, 1, 0)
+	seeds := []uint64{51, 52, 53, 54}
+	want := seqResults(t, cfg, seeds)
+	for _, workers := range []int{1, 2} {
+		var fired atomic.Bool
+		boom := cfg
+		boom.OnDeliver = func(DeliverEvent) {
+			if fired.CompareAndSwap(false, true) {
+				panic("boom")
+			}
+		}
+		out, err := (&BatchRunner{}).Run(Batch{Base: boom, Seeds: seeds, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		panicked := -1
+		for i, rr := range out {
+			if rr.Err != nil {
+				if panicked >= 0 || !strings.Contains(rr.Err.Error(), "panicked") {
+					t.Fatalf("workers=%d rep %d: unexpected error %v (rep %d already panicked)", workers, i, rr.Err, panicked)
+				}
+				panicked = i
+				continue
+			}
+			if !reflect.DeepEqual(rr.Result, want[i]) {
+				t.Errorf("workers=%d rep %d differs from sequential after a panic on its stripe", workers, i)
+			}
+		}
+		if panicked < 0 || panicked%(len(seeds)/workers) != 0 {
+			t.Fatalf("workers=%d: panicked rep %d is not the first of a stripe", workers, panicked)
 		}
 	}
 }

@@ -36,7 +36,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"prioritystar/internal/core"
@@ -425,14 +424,6 @@ type engine struct {
 	adaptCur torus.Node // current node for the downFn closure
 	downFn   func(dim int, dir torus.Dir) bool
 
-	// arena, when non-nil, supplies the bulk per-replication buffers
-	// (busyUntil, busySlots, queued, inflight, ready bitmap) from a
-	// contiguous struct-of-arrays block shared by every replication of a
-	// batch, so the batched runner's lockstep sweep streams through
-	// adjacent memory instead of pointer-chasing a cold heap per rep. nil
-	// (the sequential runners) falls back to plain make.
-	arena *batchArena
-
 	// Guard state, resolved from cfg.Guard by reset.
 	guardOn      bool
 	growthRuns   int
@@ -450,7 +441,8 @@ type engine struct {
 // that runs many simulations of the same shape on one goroutine should reuse
 // a Runner: after the first run the hot path is allocation-free. The zero
 // value is ready to use. A Runner is not safe for concurrent use; give each
-// worker goroutine its own.
+// worker goroutine its own. A warm Runner keeps its last run's Config (and
+// so its shape, scheme and callbacks) reachable until its next run.
 type Runner struct {
 	e engine
 }
@@ -473,38 +465,13 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	return e.res, nil
 }
 
-// runnerPool recycles engine buffers across package-level Run calls, so
-// callers that cannot hold a Runner (one-shot commands, static-pattern
-// probes, the package API) skip the per-run queue/wheel allocations after
-// warm-up.
-var runnerPool = sync.Pool{New: func() any { return new(Runner) }}
-
-// Run executes one simulation and returns its statistics. Results depend
-// only on Config (same seed, same trajectory); internal buffers are
-// recycled through a pool.
+// Run executes one simulation on a fresh Runner and returns its
+// statistics. Results depend only on Config (same seed, same trajectory).
+// A caller that runs many simulations should hold a Runner instead, which
+// reuses its buffers across calls.
 func Run(cfg Config) (*Result, error) {
-	r := runnerPool.Get().(*Runner)
-	res, err := r.Run(cfg)
-	r.e.release()
-	runnerPool.Put(r)
-	return res, err
-}
-
-// release drops references the engine no longer needs so a pooled Runner
-// does not pin the caller's shape, scheme, callbacks, or results. Bulk
-// value buffers (slab, queues, wheel, tables) are kept for reuse.
-func (e *engine) release() {
-	e.cfg = Config{}
-	e.s = nil
-	e.sch = nil
-	e.rng = nil
-	e.res = nil
-	e.probe = nil
-	e.linkDst = nil
-	e.linkDim = nil
-	e.faults = nil
-	e.downFn = nil
-	e.ctx = nil
+	var r Runner
+	return r.Run(cfg)
 }
 
 // reset prepares the engine for cfg, reusing buffers from any previous run
@@ -550,16 +517,16 @@ func (e *engine) reset(cfg Config) error {
 		clear(e.busySlots)
 		clear(e.queued)
 	} else {
-		e.busyUntil = e.arena.int64s(slots)
-		e.busySlots = e.arena.int64s(slots)
-		e.queued = e.arena.int32s(slots)
+		e.busyUntil = make([]int64, slots)
+		e.busySlots = make([]int64, slots)
+		e.queued = make([]int32, slots)
 	}
-	e.ready.init(slots, e.arena)
+	e.ready.init(slots)
 	e.linkDst, e.linkDim = e.s.LinkTables()
 	if len(e.inflight) != slots {
 		// No clearing on reuse: an inflight slot is read only when the
 		// wheel holds the link's ID, and the wheel is emptied below.
-		e.inflight = e.arena.int32s(slots)
+		e.inflight = make([]int32, slots)
 	}
 	e.wheel.reset()
 	e.tasks = e.tasks[:0]
@@ -629,9 +596,7 @@ func (e *engine) run() error {
 
 // step advances the simulation by exactly one slot and reports whether the
 // run is over (horizon reached, or an early exit recorded in Result.Status).
-// It is the unit of progress the batched runner interleaves across
-// replications; run() is just a loop over it, so sequential and batched
-// trajectories are identical by construction.
+// run is its only caller.
 func (e *engine) step() (done bool, err error) {
 	if e.now >= e.horizon {
 		return true, nil
@@ -810,10 +775,10 @@ type linkBitmap struct {
 }
 
 // init sizes the bitmap for the given number of link slots, reusing the
-// previous words when the size matches (the service pass always leaves them
-// cleared, but clear defensively so a truncated run cannot leak marks). A
-// non-nil arena supplies the words from the batch's shared SoA block.
-func (b *linkBitmap) init(slots int, a *batchArena) {
+// previous words when the size matches. They are cleared on reuse: the
+// service pass leaves them cleared, but a batch replication that panicked
+// mid-slot (see runRep) can leave marks behind.
+func (b *linkBitmap) init(slots int) {
 	w0 := (slots + 63) / 64
 	w1 := (w0 + 63) / 64
 	if len(b.l0) == w0 {
@@ -821,8 +786,8 @@ func (b *linkBitmap) init(slots int, a *batchArena) {
 		clear(b.l1)
 		return
 	}
-	b.l0 = a.uint64s(w0)
-	b.l1 = a.uint64s(w1)
+	b.l0 = make([]uint64, w0)
+	b.l1 = make([]uint64, w1)
 }
 
 func (b *linkBitmap) set(l torus.LinkID) {

@@ -30,21 +30,27 @@ func benchConfig(b *testing.B, dims []int, rho float64) Config {
 }
 
 // benchEngine measures raw engine throughput (simulated slots per run) for
-// one topology/load combination. With probe set, every run carries the
-// standard observability bundle, so a probed/unprobed pair measures what
-// attaching it costs.
+// one topology/load combination on one warm Runner, the way a sweep stripe
+// runs its replications. With probe set, every run carries the standard
+// observability bundle, so a probed/unprobed pair measures what attaching
+// it costs.
 func benchEngine(b *testing.B, dims []int, rho float64, probe bool) {
 	cfg := benchConfig(b, dims, rho)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i + 1)
+	var r Runner
+	run := func(seed uint64) {
+		cfg.Seed = seed
 		if probe {
 			cfg.Probe = obs.NewStandard(cfg.Shape, 0, benchSlots)
 		}
-		if _, err := Run(cfg); err != nil {
+		if _, err := r.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+	run(1) // warm the runner's buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(uint64(i + 1))
 	}
 	b.ReportMetric(float64(benchSlots)*float64(b.N)/b.Elapsed().Seconds(), "slots/s")
 }
@@ -93,7 +99,7 @@ func BenchmarkEngineBatched(b *testing.B) {
 					}
 				}
 			}
-			batch(0) // warm the runner's engines and arenas
+			batch(0) // warm the runner's engines
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -72,10 +72,10 @@ func (spec SchemeSpec) Build(s *torus.Shape, rates traffic.Rates, m balance.Dist
 	return core.NewScheme(s, spec.Discipline, spec.Rotation, rates, m)
 }
 
-// maxBatchReps bounds the replications per dispatched batch. Lockstep
-// replications complete together, so the bound caps both how much a crash
-// can lose between checkpoint-journal appends and how much per-rep state
-// the lockstep pass drags through the cache.
+// maxBatchReps bounds the replications per dispatched batch. A batch's
+// records reach the checkpoint journal together when the whole batch ends,
+// so the bound caps how much a crash can lose between journal appends, and
+// it sets the grain of the work the fleet leases out.
 const maxBatchReps = 8
 
 // Experiment describes one sweep: a topology, a traffic mix, a rho grid,
