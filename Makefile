@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all help check fmt-check build vet bench-vet test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-smoke cover figures figures-quick report examples clean
+.PHONY: all help check fmt-check build vet bench-vet bench-check test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-smoke cover figures figures-quick report examples clean
 
 all: build vet test race
 
@@ -10,22 +10,27 @@ all: build vet test race
 # proving crash recovery (SIGKILL + torn journals) under the race detector,
 # the service-level load smoke (200 concurrent clients against a live
 # daemon, also under -race), and one iteration of every go-test benchmark
-# so none of them breaks unnoticed. No wall-clock gate runs here: timings
-# on a shared box are too noisy to fail a build on (see load-gate and
-# layerbench/ for the measured comparisons).
-check: fmt-check vet bench-vet build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke bench-smoke
+# so none of them breaks unnoticed, plus the benchmark's own correctness
+# checks. No wall-clock gate runs here: timings on a shared box are too
+# noisy to fail a build on (see load-gate and layerbench/ for the measured
+# comparisons).
+check: fmt-check vet bench-vet bench-check build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke bench-smoke
 
 help:
 	@echo "Targets:"
 	@echo "  all           build + vet + test + race (the full gate)"
-	@echo "  check         fmt-check + vet + build + test + the smokes, chaos"
-	@echo "                suites, load-smoke and bench-smoke (the CI gate)"
+	@echo "  check         fmt-check + vet + bench-check + build + test + the"
+	@echo "                smokes, chaos suites, load-smoke and bench-smoke"
+	@echo "                (the CI gate)"
 	@echo "  fmt-check     fail if gofmt would change any Go file (the"
 	@echo "                benchmark's .bench_build/ cache excluded)"
 	@echo "  build         go build ./..."
 	@echo "  vet           go vet ./..."
 	@echo "  bench-vet     go vet the layerbench module (its own go.mod, so"
 	@echo "                the root build and vet never compile it)"
+	@echo "  bench-check   layerbench's metric-schema and tamper tests, and a"
+	@echo "                1s figures run whose digests must match the ones"
+	@echo "                recorded for sim.EngineVersion (correct: true)"
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
 	@echo "  chaos         crash-recovery suite under -race: WAL replay, torn"
@@ -47,9 +52,10 @@ help:
 	@echo "                scenarios, counter cross-checks, non-zero quantiles"
 	@echo "  load-gate     psload vs committed BENCH_serve.json; fails on a"
 	@echo "                p95/p99/throughput regression"
-	@echo "  fuzz          fuzz the FIFO ring buffer, the trace reader, the"
-	@echo "                latency sketch codec, the BENCH_serve reader, and"
-	@echo "                the fleet wire protocol (FUZZTIME=30s to change)"
+	@echo "  fuzz          fuzz the FIFO ring buffer, the engine's link queues,"
+	@echo "                the trace reader, the latency sketch codec, the"
+	@echo "                BENCH_serve reader, and the fleet wire protocol"
+	@echo "                (FUZZTIME=30s to change)"
 	@echo "  bench         go test -bench over every figure benchmark"
 	@echo "  bench-smoke   one iteration of every go-test benchmark (in 'check')"
 	@echo "  cover         go test -cover ./..."
@@ -182,12 +188,14 @@ smoke-approx:
 		|| { echo "smoke-approx: daemon did not drain cleanly"; exit 1; }; \
 	rm -rf $$tmp; echo "smoke-approx: ok"
 
-# Coverage-guided fuzzing of the queue's power-of-two ring arithmetic and the
-# binary trace decoder; the seeded corpora also run on every plain `go test`
+# Coverage-guided fuzzing of the queue's power-of-two ring arithmetic, the
+# engine's slab-threaded link queues (against that FIFO as the model) and
+# the binary decoders; the seeded corpora also run on every plain `go test`
 # (tier-1).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzFIFO -fuzztime $(FUZZTIME) ./internal/queue
+	$(GO) test -fuzz FuzzLinkQueues -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -fuzz FuzzSketchDecode -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -fuzz FuzzTrajectoryReader -fuzztime $(FUZZTIME) ./internal/loadgen
@@ -213,6 +221,21 @@ vet:
 # benchmark runs. Offline, outside any workspace, like layerbench/run.sh.
 bench-vet:
 	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
+
+# The benchmark's own correctness checks, offline like bench-vet: its
+# metric-schema and tampered-figure tests, then a 1-second figures run,
+# which still simulates all three presets and checks them against the
+# digests recorded for sim.EngineVersion; its last line must read
+# "correct":true. An engine change that moves one bit fails here. The
+# timing-based layerbench tests stay out: they are too noisy to gate on.
+bench-check:
+	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) test -count=1 \
+		-run 'TestBenchmarkJSONMatchesMetrics|TestTamperedFigureCountsAsFailed' ./...
+	@last=$$(bash layerbench/run.sh --workload figures --seed 1 --seconds 1 | tail -n 1); \
+	case "$$last" in \
+	*'"correct":true'*) echo "bench-check: ok" ;; \
+	*) echo "bench-check: figures run is not correct:"; echo "$$last"; exit 1 ;; \
+	esac
 
 test:
 	$(GO) test ./...

@@ -19,10 +19,12 @@ package cluster
 //
 // Health scoring is consecutive-failure plus latency-EWMA driven: the
 // breaker keeps an EWMA of successful call latencies, and a success that is
-// both absolutely slow (> slowFloor) and far beyond the worker's own EWMA
-// (> slowFactor x) counts as a "slow strike" instead of resetting the
-// failure streak — a worker on a trickling link fails its way open even
-// though every call technically completes.
+// both absolutely slow (> slowFloor) and far beyond the lower of the
+// worker's own EWMA and its fastest live peer's (> slowFactor x) counts as
+// a "slow strike" instead of resetting the failure streak — a worker on a
+// trickling link fails its way open even though every call technically
+// completes, and so does a worker that was slow from its first call, whose
+// own EWMA never saw it healthy.
 
 import (
 	"sync"
@@ -52,8 +54,9 @@ const (
 	// ewmaAlpha weights new latency samples into the EWMA.
 	ewmaAlpha = 0.2
 	// slowFactor and slowFloor define a pathologically slow success: beyond
-	// slowFactor x this worker's own EWMA *and* slower than slowFloor in
-	// absolute terms (so a cold 2ms->20ms jump is not a strike).
+	// slowFactor x the lower of this worker's own EWMA and its fastest live
+	// peer's, *and* slower than slowFloor in absolute terms (so a cold
+	// 2ms->20ms jump is not a strike).
 	slowFactor = 6.0
 	slowFloor  = 500 * time.Millisecond
 )
@@ -121,14 +124,26 @@ func (b *breaker) beginProbe() {
 	b.mu.Unlock()
 }
 
-// success records a completed call and its latency. It returns the circuit
-// to closed unless the call was a slow strike that tripped the threshold.
-func (b *breaker) success(now time.Time, latency time.Duration) {
+// success records a completed call and its latency with no peer to compare
+// it against; see successBeside.
+func (b *breaker) success(now time.Time, latency time.Duration) (opened bool) {
+	return b.successBeside(now, latency, 0)
+}
+
+// successBeside records a completed call and its latency, where peerMs is
+// the lowest nonzero latency EWMA among the other live workers' breakers (0
+// when there is none). It returns the circuit to closed unless the call was
+// a slow strike, and reports whether the strike opened the circuit.
+func (b *breaker) successBeside(now time.Time, latency time.Duration, peerMs float64) (opened bool) {
 	ms := float64(latency) / float64(time.Millisecond)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-	if b.ewmaMs > 0 && ms > slowFactor*b.ewmaMs && latency > slowFloor {
+	bar := b.ewmaMs
+	if peerMs > 0 && (bar == 0 || peerMs < bar) {
+		bar = peerMs
+	}
+	if bar > 0 && ms > slowFactor*bar && latency > slowFloor {
 		// A slow strike stays out of the EWMA: folding it in would raise
 		// the worker's own bar by 20% per strike, and with slowFactor 6 a
 		// steadily trickling link could never accumulate a second
@@ -139,8 +154,9 @@ func (b *breaker) success(now time.Time, latency time.Duration) {
 			b.state = breakerOpen
 			b.openedAt = now
 			b.slow = 0
+			return true
 		}
-		return
+		return false
 	}
 	if b.ewmaMs == 0 {
 		b.ewmaMs = ms
@@ -150,6 +166,7 @@ func (b *breaker) success(now time.Time, latency time.Duration) {
 	b.state = breakerClosed
 	b.fails = 0
 	b.slow = 0
+	return false
 }
 
 // failure records a hard failure (error, malformed response, timeout) and

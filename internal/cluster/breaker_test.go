@@ -129,3 +129,61 @@ func TestBreakerViewEWMA(t *testing.T) {
 		t.Fatalf("view fails = %d, want 1", fails)
 	}
 }
+
+// TestBreakerSlowFromFirstCall: a worker slow from its first call has no
+// healthy EWMA of its own to be judged against, so beside a 50 ms peer its
+// first threshold 700 ms calls are strikes, none seeds the EWMA, and the
+// breaker opens.
+func TestBreakerSlowFromFirstCall(t *testing.T) {
+	now := time.Unix(1000, 0)
+	b := newBreaker(3, 5*time.Second)
+	for i := 0; i < 2; i++ {
+		if b.successBeside(now, 700*time.Millisecond, 50) {
+			t.Fatalf("breaker opened after %d slow call(s), threshold 3", i+1)
+		}
+	}
+	if !b.successBeside(now, 700*time.Millisecond, 50) {
+		t.Fatal("third 700 ms call beside a 50 ms peer did not open the breaker")
+	}
+	if got := b.gate(now); got != gateBlocked {
+		t.Fatalf("gate = %v, want blocked", got)
+	}
+	if _, _, ewma := b.view(); ewma != 0 {
+		t.Fatalf("EWMA = %v ms after strikes only, want 0", ewma)
+	}
+}
+
+// TestBreakerPeerWithinFactor: a worker 3x slower than its fastest peer,
+// past slowFloor but within slowFactor, is not struck.
+func TestBreakerPeerWithinFactor(t *testing.T) {
+	now := time.Unix(1000, 0)
+	b := newBreaker(1, 5*time.Second)
+	for i := 0; i < 4; i++ {
+		if b.successBeside(now, 600*time.Millisecond, 200) {
+			t.Fatal("a worker 3x slower than its peer was struck open")
+		}
+	}
+	if got := b.gate(now); got != gateClosed {
+		t.Fatalf("gate = %v, want closed", got)
+	}
+}
+
+// TestBreakerNoPeerMatchesOwnEWMA: with no peer, a call is judged against
+// the worker's own EWMA alone, so a worker slow from its first call seeds
+// its EWMA and is never struck, as without peers.
+func TestBreakerNoPeerMatchesOwnEWMA(t *testing.T) {
+	now := time.Unix(1000, 0)
+	b := newBreaker(1, 5*time.Second)
+	for i := 0; i < 4; i++ {
+		if b.successBeside(now, 700*time.Millisecond, 0) {
+			t.Fatal("a lone slow worker was struck open")
+		}
+	}
+	if _, _, ewma := b.view(); ewma != 700 {
+		t.Fatalf("EWMA = %v ms, want 700", ewma)
+	}
+	// A later trickle past 6x its own EWMA is still a strike.
+	if !b.successBeside(now, 5*time.Second, 0) {
+		t.Fatal("a call past 6x the worker's own EWMA was not a strike")
+	}
+}

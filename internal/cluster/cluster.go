@@ -531,16 +531,21 @@ func (c *Coordinator) tryPickWorker(strictAvoid string) *workerState {
 	return c.pickLocked("", strictAvoid, true)
 }
 
-// noteSuccess records a successful sub-job call: breaker credit, a latency
-// observation for the hedge quantile, and — because a remote dispatch just
-// worked — the end of any degradation.
+// noteSuccess records a successful sub-job call: breaker credit, judged
+// against the fastest live peer too, a latency observation for the hedge
+// quantile, and — because a remote dispatch just worked — the end of any
+// degradation.
 func (c *Coordinator) noteSuccess(ws *workerState, took time.Duration) {
 	now := c.cfg.now()
 	c.mu.Lock()
-	c.breakerLocked(ws.addr).success(now, took)
+	opened := c.breakerLocked(ws.addr).successBeside(now, took, c.peerEWMALocked(ws.addr, now))
 	wasDegraded := c.degraded
 	c.degraded = false
 	c.mu.Unlock()
+	if opened {
+		c.cfg.Metrics.Add("breaker_open_total", 1)
+		c.logf("cluster: breaker opened for slow worker %s", ws.addr)
+	}
 	if wasDegraded {
 		c.cfg.Metrics.Set("fleet_degraded", 0)
 		c.logf("cluster: fleet healed; sub-job served remotely by %s", ws.addr)
@@ -549,6 +554,25 @@ func (c *Coordinator) noteSuccess(ws *workerState, took time.Duration) {
 	c.lat[c.latN%latRingSize] = float64(took) / float64(time.Millisecond)
 	c.latN++
 	c.latMu.Unlock()
+}
+
+// peerEWMALocked returns the lowest nonzero latency EWMA among the breakers
+// of the live workers other than addr, or 0 when none has one. c.mu must be
+// held.
+func (c *Coordinator) peerEWMALocked(addr string, now time.Time) float64 {
+	low := 0.0
+	for _, ws := range c.workers {
+		ws.mu.Lock()
+		alive := now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry
+		ws.mu.Unlock()
+		if !alive || ws.addr == addr {
+			continue
+		}
+		if _, _, ms := c.breakerLocked(ws.addr).view(); ms > 0 && (low == 0 || ms < low) {
+			low = ms
+		}
+	}
+	return low
 }
 
 // noteFailure records a hard failure against a worker's breaker.

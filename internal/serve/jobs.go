@@ -680,20 +680,27 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 		err = encErr
 	}
 
+	// As on success, each terminal counter lands before its state is
+	// published, so a client that acts on the state sees the count.
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		m.cfg.Metrics.Add("jobs_canceled", 1)
 		j.update(func(s *JobStatus) {
 			s.State = StateCanceled
 			s.Error = err.Error()
 			s.FinishedAt = now()
 		})
 		m.walTerminal(j)
-		m.cfg.Metrics.Add("jobs_canceled", 1)
 		return attemptTerminal
 	case j.attempt >= m.maxAttempts():
 		state := StateFailed // no retry budget configured: plain failure
 		if m.cfg.RetryBudget > 0 {
 			state = StateQuarantined
+		}
+		if state == StateQuarantined {
+			m.cfg.Metrics.Add("jobs_quarantined", 1)
+		} else {
+			m.cfg.Metrics.Add("jobs_failed", 1)
 		}
 		j.update(func(s *JobStatus) {
 			s.State = state
@@ -701,11 +708,6 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 			s.FinishedAt = now()
 		})
 		m.walTerminal(j)
-		if state == StateQuarantined {
-			m.cfg.Metrics.Add("jobs_quarantined", 1)
-		} else {
-			m.cfg.Metrics.Add("jobs_failed", 1)
-		}
 		return attemptTerminal
 	default:
 		// Budget remains: back to queued (error visible) and let run()

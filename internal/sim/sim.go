@@ -41,7 +41,6 @@ import (
 	"prioritystar/internal/core"
 	"prioritystar/internal/fault"
 	"prioritystar/internal/obs"
-	"prioritystar/internal/queue"
 	"prioritystar/internal/stats"
 	"prioritystar/internal/torus"
 	"prioritystar/internal/traffic"
@@ -328,14 +327,16 @@ const (
 )
 
 // packet is the in-network representation of one copy: 40 bytes, written
-// once into the engine's slab (engine.pkts). Queues and in-flight slots
-// carry its 4-byte handle, the packet's index in the slab.
+// once into the engine's slab (engine.pkts). Link queues and in-flight
+// records carry its 4-byte handle, the packet's index in the slab.
 type packet struct {
-	birth    int64
-	enq      int64 // enqueue time at the current output queue
-	taskIdx  int32 // dense index into engine.tasks (measured broadcasts)
-	dest     torus.Node
-	tieMask  uint32
+	birth int64
+	enq   int64 // enqueue time at the current output queue
+	next  int32 // handle behind this one in its (link, class) queue
+	dest  torus.Node
+	// aux is a measured broadcast copy's dense index into engine.tasks and
+	// a unicast's tie mask: no packet needs both.
+	aux      int32
 	length   int32
 	kind     packetKind
 	class    uint8
@@ -346,8 +347,27 @@ type packet struct {
 	hopsLeft int16
 }
 
+// maxClasses is the most priority classes a discipline has (Result keeps
+// one QueueWait aggregate per class).
+const maxClasses = 3
+
+// linkState is everything the engine keeps per link slot, in 32 bytes: the
+// head and tail handles of one FCFS queue per class, threaded through the
+// slab by packet.next (head is -1 when the class is empty; tail is then
+// stale), the number of packets those queues hold, and the handle of the
+// packet transmitting on the link. A link is idle exactly when inflight is
+// -1: delivery clears it.
+type linkState struct {
+	head, tail [maxClasses]int32
+	queued     int32
+	inflight   int32
+}
+
+// idleLink is a link slot with empty queues and nothing in flight.
+var idleLink = linkState{head: [maxClasses]int32{-1, -1, -1}, inflight: -1}
+
 // bcastState tracks one in-flight measured broadcast task. States live in a
-// dense slice indexed by packet.taskIdx; completed slots are recycled
+// dense slice indexed by packet.aux; completed slots are recycled
 // through a free list, so steady-state measurement allocates no per-task
 // memory. The task key (surfaced via DeliverEvent.Task) stays a plain
 // monotone counter and is never recycled.
@@ -376,30 +396,21 @@ type engine struct {
 	pkts     []packet
 	freePkts []int32
 
-	// queues[l*classes+c] holds the handles of class-c packets waiting
-	// for link l, and queued[l] counts them over every class, so testing
-	// a link for work is one load.
-	queues    []queue.FIFO[int32]
-	queued    []int32
-	classes   int          // priority classes per link
-	busyUntil []int64      // slot at which each link's transmission completes
-	busySlots []int64      // busy slots within the window, per link
-	linkDst   []torus.Node // shared per-shape table (torus.LinkTables)
-	linkDim   []int32      // shared per-shape table (torus.LinkTables)
-
-	// inflight[l] is the handle of the packet transmitting on link l; the
-	// timing wheel stores only link IDs, so a completion event is 4 bytes.
-	// A link carries at most one packet at a time, making one slot per
-	// link sufficient.
-	inflight []int32
-	wheel    linkWheel
+	// links[l] holds link l's output queues and in-flight handle. The
+	// timing wheel stores only link IDs, so a completion event is 4 bytes:
+	// a link carries at most one packet at a time.
+	links   []linkState
+	busyDim []int64      // busy link-slots within the window, per dimension
+	linkDst []torus.Node // shared per-shape table (torus.LinkTables)
+	linkDim []int32      // shared per-shape table (torus.LinkTables)
+	wheel   linkWheel
 
 	// ready collects the links that may start a transmission this slot:
 	// those whose in-flight packet just completed and those that received
 	// a packet while idle.
 	ready linkBitmap
 
-	// Dense broadcast-task table indexed by packet.taskIdx; freeTasks
+	// Dense broadcast-task table indexed by packet.aux; freeTasks
 	// holds recycled indices, liveTasks counts tasks currently in flight,
 	// and nextTask is the never-recycled key counter.
 	tasks     []bcastState
@@ -437,7 +448,7 @@ type engine struct {
 }
 
 // Runner executes simulations while reusing the engine's internal buffers
-// (packet slab, queues, timing wheel, task table) across calls. A sweep
+// (packet slab, link records, timing wheel, task table) across calls. A sweep
 // that runs many simulations of the same shape on one goroutine should reuse
 // a Runner: after the first run the hot path is allocation-free. The zero
 // value is ready to use. A Runner is not safe for concurrent use; give each
@@ -479,7 +490,6 @@ func Run(cfg Config) (*Result, error) {
 // compile against the shape.
 func (e *engine) reset(cfg Config) error {
 	slots := cfg.Shape.LinkSlots()
-	classes := cfg.Scheme.Discipline.Classes()
 
 	e.cfg = cfg
 	e.s = cfg.Shape
@@ -501,33 +511,22 @@ func (e *engine) reset(cfg Config) error {
 	}
 
 	// Every handle an earlier run left queued or in flight (it ended
-	// early) dies with the queues and the wheel below.
+	// early) dies with the link records and the wheel below.
 	e.pkts = e.pkts[:0]
 	e.freePkts = e.freePkts[:0]
-	if len(e.queues) == slots*classes {
-		for i := range e.queues {
-			e.queues[i].Reset()
-		}
-	} else {
-		e.queues = make([]queue.FIFO[int32], slots*classes)
+	if len(e.links) != slots {
+		e.links = make([]linkState, slots)
 	}
-	e.classes = classes
-	if len(e.busyUntil) == slots {
-		clear(e.busyUntil)
-		clear(e.busySlots)
-		clear(e.queued)
+	for i := range e.links {
+		e.links[i] = idleLink
+	}
+	if dims := cfg.Shape.Dims(); len(e.busyDim) == dims {
+		clear(e.busyDim)
 	} else {
-		e.busyUntil = make([]int64, slots)
-		e.busySlots = make([]int64, slots)
-		e.queued = make([]int32, slots)
+		e.busyDim = make([]int64, dims)
 	}
 	e.ready.init(slots)
 	e.linkDst, e.linkDim = e.s.LinkTables()
-	if len(e.inflight) != slots {
-		// No clearing on reuse: an inflight slot is read only when the
-		// wheel holds the link's ID, and the wheel is emptied below.
-		e.inflight = make([]int32, slots)
-	}
 	e.wheel.reset()
 	e.tasks = e.tasks[:0]
 	e.freeTasks = e.freeTasks[:0]
@@ -814,7 +813,8 @@ func (e *engine) deliverArrivals() {
 	}
 	for _, l := range arrivals {
 		e.markReady(l) // the link just went idle; it may have queue
-		h := e.inflight[l]
+		h := e.links[l].inflight
+		e.links[l].inflight = -1
 		node := e.linkDst[l]
 		if e.pkts[h].kind == kindUnicast {
 			e.deliverUnicast(node, h)
@@ -873,7 +873,7 @@ func (e *engine) deliverUnicast(node torus.Node, h int32) {
 // taken (preferring the oblivious choice), and when every profitable link is
 // down the packet waits on the preferred one.
 func (e *engine) routeUnicast(node torus.Node, h int32) {
-	dest, tieMask := e.pkts[h].dest, e.pkts[h].tieMask
+	dest, tieMask := e.pkts[h].dest, uint32(e.pkts[h].aux)
 	if e.faults == nil {
 		dim, dir, _ := core.UnicastNextHop(e.s, node, dest, tieMask)
 		e.enqueue(e.s.Link(node, dim, dir), dim, h)
@@ -898,7 +898,7 @@ func (e *engine) deliverBroadcast(node torus.Node, h int32) {
 	if e.cfg.OnDeliver != nil {
 		task := int64(-1)
 		if pkt.measured {
-			task = e.tasks[pkt.taskIdx].key
+			task = e.tasks[pkt.aux].key
 		}
 		e.cfg.OnDeliver(DeliverEvent{
 			Slot: e.now, Node: node, Birth: pkt.birth, Task: task,
@@ -910,10 +910,10 @@ func (e *engine) deliverBroadcast(node torus.Node, h int32) {
 	}
 	if pkt.measured {
 		e.res.Reception.Add(float64(e.now - pkt.birth))
-		st := &e.tasks[pkt.taskIdx]
+		st := &e.tasks[pkt.aux]
 		st.remaining--
 		if st.remaining == 0 {
-			e.finishTask(pkt.taskIdx)
+			e.finishTask(pkt.aux)
 		}
 	}
 	e.hopBuf = core.BroadcastForward(e.s, int(pkt.ending), int(pkt.phase), pkt.dir, int(pkt.hopsLeft), e.rng, e.hopBuf[:0])
@@ -959,11 +959,11 @@ func (e *engine) dropSubtree(l torus.LinkID, pkt *packet, hop core.Hop) {
 		return
 	}
 	e.res.LostCopies += lost
-	st := &e.tasks[pkt.taskIdx]
+	st := &e.tasks[pkt.aux]
 	st.lost += int32(lost)
 	st.remaining -= int32(lost)
 	if st.remaining == 0 {
-		e.finishTask(pkt.taskIdx)
+		e.finishTask(pkt.aux)
 	}
 }
 
@@ -993,17 +993,44 @@ func (e *engine) forwardHops(node torus.Node, pkt *packet) {
 
 // enqueue queues slab packet h on link l, of dimension dim, in its class.
 func (e *engine) enqueue(l torus.LinkID, dim int, h int32) {
-	pkt := &e.pkts[h]
-	pkt.enq = e.now
-	e.queues[int(l)*e.classes+int(pkt.class)].Push(h)
-	e.queued[l]++
+	e.pkts[h].enq = e.now
+	e.push(l, h)
 	e.backlog++
+	ls := &e.links[l]
 	if e.probe != nil {
-		e.probe.Enqueue(e.now, l, dim, int(pkt.class), int(e.queued[l]))
+		e.probe.Enqueue(e.now, l, dim, int(e.pkts[h].class), int(ls.queued))
 	}
-	if e.busyUntil[l] <= e.now {
+	if ls.inflight < 0 {
 		e.markReady(l) // idle link gained work; examine it this slot
 	}
+}
+
+// push appends slab packet h to the tail of link l's queue for its class.
+func (e *engine) push(l torus.LinkID, h int32) {
+	ls := &e.links[l]
+	pkt := &e.pkts[h]
+	c := pkt.class
+	pkt.next = -1
+	if ls.head[c] < 0 {
+		ls.head[c] = h
+	} else {
+		e.pkts[ls.tail[c]].next = h
+	}
+	ls.tail[c] = h
+	ls.queued++
+}
+
+// pop removes the head of link l's lowest nonempty class queue and returns
+// its handle and class. Link l must have a packet queued.
+func (e *engine) pop(l torus.LinkID) (h int32, class int) {
+	ls := &e.links[l]
+	for ls.head[class] < 0 {
+		class++
+	}
+	h = ls.head[class]
+	ls.head[class] = e.pkts[h].next
+	ls.queued--
+	return h, class
 }
 
 // generate injects this slot's new tasks. Per-node independent Poisson
@@ -1076,7 +1103,7 @@ func (e *engine) spawnBroadcast(src torus.Node, measured bool) {
 		measured: measured,
 	}
 	if measured {
-		pkt.taskIdx = e.newTask()
+		pkt.aux = e.newTask()
 		e.res.GeneratedBroadcasts++
 	}
 	e.hopBuf = core.BroadcastForward(e.s, ending, -1, torus.Plus, 0, e.rng, e.hopBuf[:0])
@@ -1091,7 +1118,7 @@ func (e *engine) spawnUnicast(src, dest torus.Node, measured bool) {
 	e.pkts[h] = packet{
 		birth:    e.now,
 		dest:     dest,
-		tieMask:  core.SampleTieMask(e.rng, e.s.Dims()),
+		aux:      int32(core.SampleTieMask(e.rng, e.s.Dims())),
 		length:   int32(e.sampleLength()),
 		kind:     kindUnicast,
 		class:    uint8(e.sch.UnicastClass()),
@@ -1134,7 +1161,7 @@ func (e *engine) serviceReady() {
 			for ; m0 != 0; m0 &= m0 - 1 {
 				l := torus.LinkID(w0<<6 + bits.TrailingZeros64(m0))
 				// A link that completed with an empty queue simply goes idle.
-				if e.queued[l] != 0 {
+				if e.links[l].queued != 0 {
 					e.serviceLink(l, t)
 				}
 			}
@@ -1162,28 +1189,21 @@ func (e *engine) serviceLink(l torus.LinkID, t int64) {
 			return
 		}
 	}
-	class := 0
-	q := &e.queues[int(l)*e.classes]
-	for q.Len() == 0 {
-		class++
-		q = &e.queues[int(l)*e.classes+class]
-	}
-	h, _ := q.Pop()
-	e.queued[l]--
+	h, class := e.pop(l)
 	e.backlog--
 	pkt := &e.pkts[h]
 	if t >= e.wStart && t < e.wEnd {
 		e.res.QueueWait[class].Add(float64(t - pkt.enq))
 	}
+	dim := e.linkDim[l]
 	if e.probe != nil {
-		e.probe.Service(t, l, int(e.linkDim[l]), class, pkt.length, t-pkt.enq)
+		e.probe.Service(t, l, int(dim), class, pkt.length, t-pkt.enq)
 	}
 	length := int64(pkt.length)
-	e.busyUntil[l] = t + length
-	e.busySlots[l] += overlap(t, t+length, e.wStart, e.wEnd)
-	// The handle rides in the link's inflight slot until completion; the
-	// wheel carries only the link ID.
-	e.inflight[l] = h
+	e.busyDim[dim] += overlap(t, t+length, e.wStart, e.wEnd)
+	// The handle rides in the link's record until completion; the wheel
+	// carries only the link ID.
+	e.links[l].inflight = h
 	e.wheel.add(t+length, l)
 }
 
@@ -1205,23 +1225,19 @@ func overlap(a, b, lo, hi int64) int64 {
 func (e *engine) finish() {
 	e.res.IncompleteBroadcasts = e.liveTasks
 	d := e.s.Dims()
-	busy := make([]int64, d)
 	links := make([]int64, d)
-	totalBusy := int64(0)
 	for l := 0; l < e.s.LinkSlots(); l++ {
-		if !e.s.ValidLink(torus.LinkID(l)) {
-			continue
+		if e.s.ValidLink(torus.LinkID(l)) {
+			links[e.linkDim[l]]++
 		}
-		dim := e.linkDim[l]
-		busy[dim] += e.busySlots[l]
-		links[dim]++
-		totalBusy += e.busySlots[l]
 	}
+	totalBusy := int64(0)
 	e.res.DimUtilization = make([]float64, d)
 	measure := float64(e.cfg.Measure)
-	for i := 0; i < d; i++ {
+	for i, busy := range e.busyDim {
+		totalBusy += busy
 		if links[i] > 0 {
-			e.res.DimUtilization[i] = float64(busy[i]) / (measure * float64(links[i]))
+			e.res.DimUtilization[i] = float64(busy) / (measure * float64(links[i]))
 		}
 		if e.res.DimUtilization[i] > e.res.MaxDimUtilization {
 			e.res.MaxDimUtilization = e.res.DimUtilization[i]

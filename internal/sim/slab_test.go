@@ -11,8 +11,10 @@ import (
 
 // slabHolders counts the slab entries of e that are queued and in flight,
 // failing the test when a handle lies outside the slab or an entry is held
-// twice (free, queued or in flight). It rotates each queue through once,
-// which leaves its order as it was.
+// twice (free, queued or in flight). It walks each link's class lists from
+// head to tail, which also checks each list's tail and the link's queued
+// count, and requires every link with an in-flight handle to be on the
+// wheel.
 func slabHolders(t *testing.T, e *engine) (queued, inflight int) {
 	t.Helper()
 	holder := make([]string, len(e.pkts))
@@ -29,20 +31,37 @@ func slabHolders(t *testing.T, e *engine) (queued, inflight int) {
 	for _, h := range e.freePkts {
 		claim(h, "free")
 	}
-	for i := range e.queues {
-		q := &e.queues[i]
-		for n := q.Len(); n > 0; n-- {
-			h, _ := q.Pop()
-			claim(h, "queued")
-			q.Push(h)
-			queued++
+	busy := 0
+	for l := range e.links {
+		ls := &e.links[l]
+		n := 0
+		for c := range ls.head {
+			last := int32(-1)
+			for h := ls.head[c]; h >= 0; h = e.pkts[h].next {
+				claim(h, "queued")
+				last = h
+				n++
+			}
+			if last >= 0 && ls.tail[c] != last {
+				t.Fatalf("link %d class %d list ends at %d, its tail is %d", l, c, last, ls.tail[c])
+			}
+		}
+		if n != int(ls.queued) {
+			t.Fatalf("link %d lists hold %d handles, its queued count is %d", l, n, ls.queued)
+		}
+		queued += n
+		if ls.inflight >= 0 {
+			busy++
 		}
 	}
 	for _, b := range e.wheel.buckets {
 		for _, l := range b {
-			claim(e.inflight[l], "in flight")
+			claim(e.links[l].inflight, "in flight")
 			inflight++
 		}
+	}
+	if busy != inflight {
+		t.Fatalf("%d links hold an in-flight handle, the wheel holds %d", busy, inflight)
 	}
 	return queued, inflight
 }
