@@ -1,26 +1,25 @@
 GO ?= go
 
-.PHONY: all help check fmt-check build vet bench-vet bench-check test race chaos chaos-cluster chaos-net lint smoke-faults smoke-serve smoke-approx load load-smoke load-gate fuzz bench bench-smoke cover figures figures-quick report examples clean
+.PHONY: all help check fmt-check build vet bench-vet bench-check test race chaos lint smoke-faults smoke-serve smoke-approx load-smoke fuzz bench bench-smoke cover figures figures-quick report examples clean
 
 all: build vet test race
 
 # The tier-1 gate: exactly what CI must keep green, plus a faulted smoke
 # sweep proving the robustness path stays wired end to end, a daemon smoke
-# proving submit/cache/drain work over a real socket, the chaos suites
-# proving crash recovery (SIGKILL + torn journals) under the race detector,
+# proving submit/cache/drain work over a real socket, the chaos suite
+# proving crash, fleet and network-fault recovery under the race detector,
 # the service-level load smoke (200 concurrent clients against a live
 # daemon, also under -race), and one iteration of every go-test benchmark
 # so none of them breaks unnoticed, plus the benchmark's own correctness
 # checks. No wall-clock gate runs here: timings on a shared box are too
-# noisy to fail a build on (see load-gate and layerbench/ for the measured
-# comparisons).
-check: fmt-check vet bench-vet bench-check build test smoke-faults smoke-serve smoke-approx chaos chaos-cluster chaos-net load-smoke bench-smoke
+# noisy to fail a build on (see layerbench/ for the measured comparisons).
+check: fmt-check vet bench-vet bench-check build test smoke-faults smoke-serve smoke-approx chaos load-smoke bench-smoke
 
 help:
 	@echo "Targets:"
 	@echo "  all           build + vet + test + race (the full gate)"
 	@echo "  check         fmt-check + vet + bench-check + build + test + the"
-	@echo "                smokes, chaos suites, load-smoke and bench-smoke"
+	@echo "                smokes, chaos, load-smoke and bench-smoke"
 	@echo "                (the CI gate)"
 	@echo "  fmt-check     fail if gofmt would change any Go file (the"
 	@echo "                benchmark's .bench_build/ cache excluded)"
@@ -33,12 +32,11 @@ help:
 	@echo "                recorded for sim.EngineVersion (correct: true)"
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
-	@echo "  chaos         crash-recovery suite under -race: WAL replay, torn"
-	@echo "                journals, quarantine, client retries, SIGKILL+restart"
-	@echo "  chaos-cluster fleet chaos under -race: scatter/gather byte-identity,"
-	@echo "                lease expiry, worker+coordinator SIGKILL mid-sweep"
-	@echo "  chaos-net     network chaos under -race: partitions, one-way drops,"
-	@echo "                truncation, breakers, hedging, local degradation"
+	@echo "  chaos         chaos suites under -race: WAL replay, torn journals,"
+	@echo "                quarantine, client retries, SIGKILL+restart; fleet"
+	@echo "                byte-identity, lease expiry, worker+coordinator SIGKILL;"
+	@echo "                partitions, drops, truncation, breakers, hedging,"
+	@echo "                local degradation"
 	@echo "  lint          go vet + staticcheck (skipped gracefully if absent)"
 	@echo "  smoke-faults  watchdogged 4x4 sweep with injected faults"
 	@echo "  smoke-serve   starsimd daemon round trip: submit, cache hit read"
@@ -46,16 +44,11 @@ help:
 	@echo "  smoke-approx  surrogate round trip: exact anchor sweep, then an"
 	@echo "                approx submit answered without simulating and"
 	@echo "                read back by its id"
-	@echo "  load          psload: 200-client mixed workload against an"
-	@echo "                in-process daemon -> append to BENCH_serve.json"
 	@echo "  load-smoke    5s, 200-client load acceptance run under -race:"
 	@echo "                scenarios, counter cross-checks, non-zero quantiles"
-	@echo "  load-gate     psload vs committed BENCH_serve.json; fails on a"
-	@echo "                p95/p99/throughput regression"
 	@echo "  fuzz          fuzz the FIFO ring buffer, the engine's link queues,"
-	@echo "                the trace reader, the latency sketch codec, the"
-	@echo "                BENCH_serve reader, and the fleet wire protocol"
-	@echo "                (FUZZTIME=30s to change)"
+	@echo "                the trace reader, the surrogate table, and the fleet"
+	@echo "                wire protocol (FUZZTIME=30s to change)"
 	@echo "  bench         go test -bench over every figure benchmark"
 	@echo "  bench-smoke   one iteration of every go-test benchmark (in 'check')"
 	@echo "  cover         go test -cover ./..."
@@ -71,35 +64,26 @@ help:
 race:
 	$(GO) test -race ./internal/sim ./internal/queue ./internal/torus ./internal/sweep ./internal/obs ./internal/fault ./internal/serve ./internal/journal ./internal/loadgen ./internal/cluster ./internal/chaosnet ./internal/surrogate ./internal/forecast
 
-# The chaos harness under the race detector: lenient journal loading, WAL
-# replay and quarantine, client retry/backoff, and the subprocess suite
-# that SIGKILLs a real daemon mid-job, tears its journals, and restarts it.
+# Every chaos suite under the race detector, each test once:
+# - journal and serve: lenient journal loading, WAL replay and quarantine,
+#   client retry/backoff;
+# - cluster: the in-process fleet fabric (byte-identical scatter/gather,
+#   lease expiry + duplicate discard, hung-worker re-dispatch, lease
+#   adoption) and its network chaos matrix (partition storm -> local
+#   degradation, truncated/corrupt responses retried not folded, hedged
+#   dispatch discarding its loser, jittered rejoin backoff);
+# - chaosnet: the fault transport and proxy themselves;
+# - starsimd: the subprocess suites that SIGKILL a real daemon mid-job and
+#   tear its journals, SIGKILL workers and the coordinator mid-sweep, and
+#   cut real coordinator->worker links, each requiring a result
+#   byte-identical to a single-node run with zero re-simulated
+#   checkpointed replications;
+# - loadgen: the partition-storm load scenario.
 chaos:
 	$(GO) test -race -run 'Chaos|Crash|Torn|Quarantine|Recovery|Retry|Lenient|WAL|Poison|SetSync|Cache|Race' \
-		./internal/journal ./internal/serve ./cmd/starsimd
-
-# The fleet chaos harness under the race detector: the in-process fabric
-# suite (byte-identical scatter/gather, lease expiry + duplicate discard,
-# hung-worker re-dispatch, lease adoption) plus the subprocess suite that
-# SIGKILLs workers and the coordinator mid-sweep, tears the lease journal,
-# and requires zero re-simulated checkpointed replications and a final
-# result byte-identical to a single-node run.
-chaos-cluster:
-	$(GO) test -race ./internal/cluster
-	$(GO) test -race -run 'ClusterChaos' ./cmd/starsimd
-
-# The network chaos harness under the race detector: the chaosnet fault
-# transport and proxy themselves, the in-process chaos matrix (partition
-# storm -> local degradation, truncated/corrupt responses retried not
-# folded, hedged dispatch discarding its loser, jittered rejoin backoff),
-# the loadgen partition-storm scenario, and the subprocess suite that cuts
-# real coordinator->worker links mid-sweep and requires a byte-identical
-# result with zero re-simulated checkpointed replications.
-chaos-net:
-	$(GO) test -race ./internal/chaosnet
-	$(GO) test -race -run 'PartitionStorm|Truncated|CorruptResponse|OneWayPartition|HedgedDispatch|Breaker|AgentJitter|SubjobTimeout|WireDecode' ./internal/cluster
-	$(GO) test -race -run 'TestLoadPartitionStorm' -count=1 ./internal/loadgen
-	$(GO) test -race -run 'TestChaosNet' ./cmd/starsimd
+		./internal/journal ./internal/serve
+	$(GO) test -race ./internal/cluster ./internal/chaosnet ./cmd/starsimd
+	$(GO) test -race -run TestLoadPartitionStorm -count=1 ./internal/loadgen
 
 # Static analysis: vet always; staticcheck only when installed (the build
 # image does not ship it — skip with a note rather than fail).
@@ -197,8 +181,6 @@ fuzz:
 	$(GO) test -fuzz FuzzFIFO -fuzztime $(FUZZTIME) ./internal/queue
 	$(GO) test -fuzz FuzzLinkQueues -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz FuzzTraceReader -fuzztime $(FUZZTIME) ./internal/obs
-	$(GO) test -fuzz FuzzSketchDecode -fuzztime $(FUZZTIME) ./internal/loadgen
-	$(GO) test -fuzz FuzzTrajectoryReader -fuzztime $(FUZZTIME) ./internal/loadgen
 	$(GO) test -fuzz FuzzSurrogateTable -fuzztime $(FUZZTIME) ./internal/surrogate
 	$(GO) test -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/cluster
 
@@ -250,29 +232,12 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Service-level load harness -> BENCH_serve.json: a 200-client fleet over
-# the full mixed workload (cache hits, fresh misses, dedup storms, 429
-# bursts, SSE watches) against a dedicated in-process daemon. Latencies are
-# wall-clock sensitive, so records note go version/arch and whether -race
-# was on; compare like with like.
-load:
-	$(GO) run ./cmd/psload -boot -clients 200 -duration 10s -mix mixed \
-		-seed 1 -out BENCH_serve.json
-
 # The 5-second load acceptance run wired into `check`: 200 concurrent
 # clients under the race detector, with scenario assertions (hits, dedup,
-# 429 pushback), exact client-vs-daemon counter reconciliation, and the
-# gate self-test against a doctored 2x-faster baseline.
+# 429 pushback), exact client-vs-daemon counter reconciliation, and
+# non-zero submit and watch quantiles.
 load-smoke:
 	$(GO) test -race -run TestLoadSmoke -count=1 ./internal/loadgen
-
-# Service perf regression gate: a fresh psload run vs the committed
-# BENCH_serve.json trajectory. Latency quantiles on a shared box are noisy,
-# so psload's default tolerance is loose (0.75); the throughput floor is the
-# sturdier signal.
-load-gate:
-	$(GO) run ./cmd/psload -boot -clients 200 -duration 10s -mix mixed \
-		-seed 1 -gate -compare BENCH_serve.json
 
 cover:
 	$(GO) test -cover ./...

@@ -1,24 +1,16 @@
 // Command psload is the service-level load harness for starsimd: it drives
 // a deterministic fleet of synthetic clients against a live daemon (or an
-// in-process one with -boot), records per-endpoint latency quantiles, and
-// maintains the BENCH_serve.json trajectory with a regression gate.
+// in-process one with -boot), prints per-endpoint latency quantiles and the
+// run's counts, and exits 1 when a scenario assertion or the cross-check
+// against the daemon's own counters fails.
 //
-//	psload -boot -clients 200 -duration 10s -mix mixed -out BENCH_serve.json
+//	psload -boot -clients 200 -duration 10s -mix mixed
+//	psload -boot -workers 2 -mix cache-hit        # daemon backed by a fleet
 //	psload -addr 127.0.0.1:7077 -mix overload -duration 30s
-//	psload -boot -gate -out BENCH_serve.json            # fail on p95/p99/throughput regression
-//	psload -boot -gate -gate-speedup 2 -duration 5s     # self-test: gate must trip
-//
-// The gate compares the fresh run's p95/p99 per op class and its overall
-// throughput against the baseline (the last record in -out, or -compare
-// FILE), allowing -gate-tol fractional slack. -gate-speedup doctors the
-// baseline as if it came from a machine N-times faster — with no baseline
-// file it doctors the fresh record itself, making a self-contained proof
-// that the gate actually fails on regressions.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -47,11 +39,6 @@ func main() {
 		mixFlag  = flag.String("mix", "mixed", "workload mix: a name or hit=N,miss=N,... weights")
 		seed     = flag.Uint64("seed", 1, "fleet seed; same seed+mix+clients replays the same op sequences")
 		rate     = flag.Float64("rate", 0, "per-client target ops/sec (0: closed loop)")
-		out      = flag.String("out", "", "append the run to this BENCH_serve.json trajectory")
-		gate     = flag.Bool("gate", false, "compare against the baseline and exit 1 on regression")
-		gateTol  = flag.Float64("gate-tol", 0.75, "gate tolerance (0.75 allows 1.75x the baseline)")
-		speedup  = flag.Float64("gate-speedup", 0, "doctor the baseline N-times faster (gate self-test)")
-		compare  = flag.String("compare", "", "gate against the last record of this file instead of -out")
 		quiet    = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
@@ -81,8 +68,7 @@ func main() {
 			SlotsPerJob: 1,
 		}
 		// -workers N swaps the execution engine for a fleet: a coordinator
-		// scattering sub-jobs to N in-process worker daemons, so the
-		// trajectory can record fleet-backed service numbers.
+		// scattering sub-jobs to N in-process worker daemons.
 		var coord *cluster.Coordinator
 		if *fleetN > 0 {
 			var err error
@@ -139,13 +125,6 @@ func main() {
 		}
 	}
 
-	// Read the baseline before appending, so a -gate run never compares a
-	// record against itself.
-	baseline, err := loadBaseline(*compare, *out)
-	if err != nil {
-		logger.Fatal(err)
-	}
-
 	rep, err := loadgen.Run(ctx, loadgen.Config{
 		Addr:     target,
 		Clients:  *clients,
@@ -158,9 +137,6 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	if *boot {
-		rep.Record.Workers = *fleetN
-	}
 	printRecord(&rep.Record)
 
 	exitCode := 0
@@ -171,67 +147,12 @@ func main() {
 		}
 		exitCode = 1
 	}
-
-	if *out != "" {
-		if err := loadgen.AppendRecord(*out, rep.Record); err != nil {
-			logger.Fatal(err)
-		}
-		logf("appended run to %s", *out)
-	}
-
-	if *gate {
-		if *speedup > 0 {
-			if baseline == nil {
-				baseline = &rep.Record
-			}
-			baseline = loadgen.DoctorBaseline(baseline, *speedup)
-			logf("gate: baseline doctored %gx faster (self-test mode)", *speedup)
-		}
-		switch {
-		case baseline == nil:
-			logf("gate: no baseline yet; this run seeds the trajectory")
-		default:
-			if fails := loadgen.Gate(&rep.Record, baseline, *gateTol); len(fails) > 0 {
-				fmt.Println("\nGATE FAILED:")
-				for _, f := range fails {
-					fmt.Printf("  %s\n", f)
-				}
-				exitCode = 1
-			} else {
-				fmt.Printf("\ngate passed (tolerance %.0f%%)\n", *gateTol*100)
-			}
-		}
-	}
 	os.Exit(exitCode)
-}
-
-// loadBaseline resolves the gate baseline: the last record of comparePath
-// when given, else the last record of outPath; nil when neither exists yet.
-func loadBaseline(comparePath, outPath string) (*loadgen.Record, error) {
-	path := comparePath
-	if path == "" {
-		path = outPath
-	}
-	if path == "" {
-		return nil, nil
-	}
-	t, err := loadgen.ReadTrajectory(path)
-	if err != nil {
-		if comparePath == "" && errors.Is(err, os.ErrNotExist) {
-			return nil, nil // first run against -out seeds the file
-		}
-		return nil, err
-	}
-	return t.Last(), nil
 }
 
 // printRecord renders the run summary.
 func printRecord(r *loadgen.Record) {
-	fmt.Printf("run: %d clients, mix %s, %.1fs, seed %d", r.Clients, r.Mix, r.DurationSec, r.Seed)
-	if r.Race {
-		fmt.Printf(" (race detector on)")
-	}
-	fmt.Println()
+	fmt.Printf("run: %d clients, mix %s, %.1fs, seed %d\n", r.Clients, r.Mix, r.DurationSec, r.Seed)
 	keys := make([]string, 0, len(r.Ops))
 	for k := range r.Ops {
 		keys = append(keys, k)

@@ -102,7 +102,7 @@ func coordSnapshot(ctx context.Context, t *testing.T, c *serve.Client) obs.Snaps
 // checkpointed sub-jobs behind it and undispatched ones ahead of it.
 func chaosNetSpec() []byte {
 	return []byte(`{
-		"id": "chaos-net", "dims": [8, 8], "rhos": [0.3],
+		"id": "chaosnet-storm", "dims": [8, 8], "rhos": [0.3],
 		"broadcastFrac": 1,
 		"schemes": [{"name": "priority-star"}],
 		"warmup": 100, "measure": 20000, "drain": 100,

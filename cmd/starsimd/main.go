@@ -67,7 +67,7 @@ func main() {
 		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat cadence the coordinator dictates (default 2s)")
 		sjRetries = flag.Int("subjob-retries", 0, "dispatch attempts per sub-job before the job attempt fails (default 3)")
 		sjTimeout = flag.Duration("subjob-timeout", 0, "hard deadline on one sub-job call to a worker; must be >= -heartbeat (default 20x lease TTL)")
-		degradeTO = flag.Duration("degrade-after", 0, "run sub-jobs locally after this long with no eligible worker (default max(2x worker expiry, 5s))")
+		degradeTO = flag.Duration("degrade-after", 0, "run sub-jobs locally after this long with no eligible worker (default max(6x -heartbeat, 5s))")
 		noHedge   = flag.Bool("no-hedge", false, "disable speculative re-dispatch of straggler sub-jobs")
 		hedgeQ    = flag.Float64("hedge-quantile", 0, "observed sub-job latency quantile that triggers a hedged dispatch (default 0.95)")
 		brkThresh = flag.Int("breaker-threshold", 0, "consecutive failures that open a worker's circuit breaker (default 3)")

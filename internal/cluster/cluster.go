@@ -70,16 +70,12 @@ type CoordinatorConfig struct {
 	// slow still completes via the duplicate-discard path.
 	LeaseTTL time.Duration
 	// Heartbeat is the cadence workers are told to report at. Default 2s.
+	// A worker silent for three heartbeats (expiryBeats) counts as dead.
 	Heartbeat time.Duration
-	// WorkerExpiry marks a worker dead after this much heartbeat silence.
-	// Default 3x Heartbeat.
-	WorkerExpiry time.Duration
 	// SubjobRetries is how many dispatch attempts each sub-job gets before
 	// the job attempt fails (and the serve layer's retry/quarantine budget
 	// takes over). Default 3.
 	SubjobRetries int
-	// MaxInflight bounds concurrently leased sub-jobs. Default 16.
-	MaxInflight int
 	// SubjobTimeout is the hard deadline on one sub-job HTTP call — the
 	// backstop that reclaims goroutines stuck on a partitioned worker whose
 	// connection neither answers nor resets. Default 20x LeaseTTL (a lease
@@ -90,10 +86,11 @@ type CoordinatorConfig struct {
 	SubjobTimeout time.Duration
 	// DegradeAfter is how long pickWorker waits for an eligible worker (live
 	// and breaker-admitted) before the coordinator gives up on the fleet and
-	// runs the sub-job locally. Default max(2x WorkerExpiry, 5s) — generous
-	// enough to ride out a coordinator restart's rejoin window without
-	// spuriously degrading. Once degraded, further picks fail fast so the
-	// job drains locally instead of waiting DegradeAfter per sub-job.
+	// runs the sub-job locally. Default max(6x Heartbeat, 5s): twice the
+	// silence that marks a worker dead, generous enough to ride out a
+	// coordinator restart's rejoin window without spuriously degrading.
+	// Once degraded, further picks fail fast so the job drains locally
+	// instead of waiting DegradeAfter per sub-job.
 	DegradeAfter time.Duration
 	// HedgeQuantile is the straggler quantile of observed sub-job call
 	// latency at which a second, hedged copy of an outstanding sub-job is
@@ -174,6 +171,12 @@ type Coordinator struct {
 }
 
 const (
+	// maxInflight bounds concurrently leased sub-jobs: RunJob's executor
+	// pool size.
+	maxInflight = 16
+	// expiryBeats is how many heartbeat intervals of silence mark a worker
+	// dead.
+	expiryBeats = 3
 	// latRingSize bounds the latency observations kept for the hedge
 	// quantile.
 	latRingSize = 128
@@ -185,6 +188,12 @@ const (
 	hedgeMinDelay = 25 * time.Millisecond
 )
 
+// workerExpiry is the heartbeat silence after which a worker counts as
+// dead.
+func (c *Coordinator) workerExpiry() time.Duration {
+	return expiryBeats * c.cfg.Heartbeat
+}
+
 // NewCoordinator opens (and replays) the lease journal and builds the
 // coordinator. Close releases the journal.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
@@ -194,14 +203,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 2 * time.Second
 	}
-	if cfg.WorkerExpiry <= 0 {
-		cfg.WorkerExpiry = 3 * cfg.Heartbeat
-	}
 	if cfg.SubjobRetries <= 0 {
 		cfg.SubjobRetries = 3
-	}
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 16
 	}
 	if cfg.SubjobTimeout == 0 {
 		cfg.SubjobTimeout = 20 * cfg.LeaseTTL
@@ -210,7 +213,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, fmt.Errorf("cluster: subjob timeout %v below heartbeat interval %v", cfg.SubjobTimeout, cfg.Heartbeat)
 	}
 	if cfg.DegradeAfter <= 0 {
-		cfg.DegradeAfter = 2 * cfg.WorkerExpiry
+		cfg.DegradeAfter = 2 * expiryBeats * cfg.Heartbeat
 		if cfg.DegradeAfter < 5*time.Second {
 			cfg.DegradeAfter = 5 * time.Second
 		}
@@ -366,7 +369,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 		infos = append(infos, WorkerInfo{
 			ID: ws.id, Name: ws.name, Addr: ws.addr, Slots: ws.slots,
 			Depth: ws.depth, Leases: ws.leases,
-			Alive:             now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry,
+			Alive:             now.Sub(ws.lastSeen) <= c.workerExpiry(),
 			LastSeenMillisAgo: now.Sub(ws.lastSeen).Milliseconds(),
 			Breaker:           state,
 			BreakerFails:      fails,
@@ -390,7 +393,7 @@ func (c *Coordinator) aliveLocked() int {
 	n := 0
 	for _, ws := range c.workers {
 		ws.mu.Lock()
-		if now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry {
+		if now.Sub(ws.lastSeen) <= c.workerExpiry() {
 			n++
 		}
 		ws.mu.Unlock()
@@ -430,7 +433,7 @@ func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState
 	var closed, probes []*workerState
 	for _, ws := range c.workers {
 		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry
+		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
 		ws.mu.Unlock()
 		if !alive || (strict && ws.addr == avoid) {
 			continue
@@ -563,7 +566,7 @@ func (c *Coordinator) peerEWMALocked(addr string, now time.Time) float64 {
 	low := 0.0
 	for _, ws := range c.workers {
 		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry
+		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
 		ws.mu.Unlock()
 		if !alive || ws.addr == addr {
 			continue
@@ -592,7 +595,7 @@ func (c *Coordinator) noteFailure(ws *workerState) {
 func (c *Coordinator) anyEligibleLocked(now time.Time) bool {
 	for _, ws := range c.workers {
 		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.cfg.WorkerExpiry
+		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
 		ws.mu.Unlock()
 		if alive && c.breakerLocked(ws.addr).gate(now) != gateBlocked {
 			return true
@@ -724,7 +727,7 @@ func (c *Coordinator) RunJob(exp *sweep.Experiment) (*sweep.Result, error) {
 		return nil, fmt.Errorf("cluster: canonicalizing spec: %w", err)
 	}
 	fp := exp.JournalFingerprint()
-	res, err := exp.Execute(c.cfg.MaxInflight, func(int) sweep.Executor {
+	res, err := exp.Execute(maxInflight, func(int) sweep.Executor {
 		return func(ctx context.Context, sj sweep.Subjob, g *sweep.Gather) error {
 			return c.superviseSubjob(ctx, &fleetJob{g: g, fp: fp, spec: specJSON}, sj)
 		}

@@ -4,8 +4,9 @@ package cluster
 // Subjobs -> executor -> Assemble path, so every one of them must produce
 // the same bits: the local sweep, a resume of it, a resume of the journal
 // the starsim binary wrote, the fleet, a fleet resume of a journal the
-// local sweep wrote, the fleet degraded to local execution, and the daemon
-// with and without the fleet behind it.
+// local sweep wrote, the fleet degraded to local execution, the daemon
+// with and without the fleet behind it, and the starsimd binary over a real
+// socket.
 
 import (
 	"bytes"
@@ -17,6 +18,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -105,6 +107,52 @@ func buildStarsim(t *testing.T) string {
 	return bin
 }
 
+// startStarsimd builds the starsimd command and boots it on a free port.
+// stop sends SIGTERM and requires a clean exit.
+func startStarsimd(t *testing.T) (cl *serve.Client, stop func()) {
+	t.Helper()
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "starsimd")
+	if out, err := exec.Command("go", "build", "-o", bin, "prioritystar/cmd/starsimd").CombinedOutput(); err != nil {
+		t.Fatalf("building starsimd: %v\n%s", err, out)
+	}
+	addrFile, logPath := filepath.Join(dir, "addr"), filepath.Join(dir, "daemon.log")
+	logF, err := os.Create(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logF.Close()
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-quiet")
+	cmd.Stdout, cmd.Stderr = logF, logF
+	if err := cmd.Start(); err != nil {
+		t.Fatalf("starting starsimd: %v", err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	stop = func() {
+		t.Helper()
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			out, _ := os.ReadFile(logPath)
+			t.Errorf("starsimd did not exit cleanly after SIGTERM: %v\nlog:\n%s", err, out)
+		}
+	}
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if b, err := os.ReadFile(addrFile); err == nil && len(bytes.TrimSpace(b)) > 0 {
+			return serve.NewClient(string(bytes.TrimSpace(b))), stop
+		}
+	}
+	out, _ := os.ReadFile(logPath)
+	t.Fatalf("starsimd never bound an address; log:\n%s", out)
+	return nil, nil
+}
+
 // TestEntryPointsAgree is the cross-entry-point differential table.
 func TestEntryPointsAgree(t *testing.T) {
 	starsim := buildStarsim(t)
@@ -139,6 +187,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		return res, err
 	})
 	plain := startDaemon(t, nil)
+	starsimd, stopStarsimd := startStarsimd(t)
 
 	for _, tc := range []struct {
 		name string
@@ -224,11 +273,16 @@ func TestEntryPointsAgree(t *testing.T) {
 			res = hookedRes
 			mu.Unlock()
 			check("daemon+fleet", res, nil)
-			if plainDoc := daemonResult(t, plain, doc); !bytes.Equal(plainDoc, hookedDoc) {
+			plainDoc := daemonResult(t, plain, doc)
+			if !bytes.Equal(plainDoc, hookedDoc) {
 				t.Errorf("daemon result documents differ with and without the fleet:\n%s\nvs\n%s", plainDoc, hookedDoc)
+			}
+			if binDoc := daemonResult(t, starsimd, doc); !bytes.Equal(binDoc, plainDoc) {
+				t.Errorf("starsimd binary's result document differs from the in-process daemon's:\n%s\nvs\n%s", binDoc, plainDoc)
 			}
 		})
 	}
+	stopStarsimd()
 	if got := cutOff.Metrics().Counter("subjobs_local"); got == 0 {
 		t.Error("the partitioned fleet ran no sub-job locally")
 	}

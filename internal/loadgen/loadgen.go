@@ -3,9 +3,9 @@
 // weighted workload mix — cache-hit replays, fresh cache-miss specs, dedup
 // storms, overload bursts that draw 429s, SSE watches, result fetches, and
 // metrics scrapes — while recording per-endpoint latency quantiles in
-// streaming sketches. A run produces one trajectory Record (BENCH_serve.json)
-// plus scenario assertions and an exact cross-check of the client's view
-// against the daemon's own admission counters.
+// streaming sketches. A run produces one Record of those quantiles and
+// counts, plus scenario assertions and an exact cross-check of the client's
+// view against the daemon's own admission counters.
 package loadgen
 
 import (
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,9 +52,40 @@ type Config struct {
 	Logf func(string, ...any)
 }
 
+// OpRecord is one operation class's measurements in a Record.
+type OpRecord struct {
+	Count  int64 // successful measurements
+	Errors int64 // failed attempts; under heavy overload this can exceed Count
+	P50us  int64
+	P95us  int64
+	P99us  int64
+	MaxUs  int64
+}
+
+// Record summarizes one load run.
+type Record struct {
+	Clients     int
+	DurationSec float64
+	Seed        uint64
+	Mix         string
+
+	// Ops maps endpoint keys ("submit", "watch", "result", "metrics",
+	// "submit_rejected", "approx") to their measurements.
+	Ops map[string]OpRecord
+
+	ThroughputOps float64
+	ErrorRate     float64
+	Rejected429   int64
+	Deduped       int64
+	CacheHits     int64
+	ApproxHits    int64
+	Retries       int64
+	Reconnects    int64
+}
+
 // Report is the outcome of a run.
 type Report struct {
-	// Record is the trajectory record for BENCH_serve.json.
+	// Record is the run's latency and count summary.
 	Record Record
 	// Failures are scenario-assertion and cross-check violations; a clean
 	// run has none.
@@ -288,7 +318,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Record:      f.buildRecord(merged, elapsed),
 		ServerDelta: counterDelta(before, after),
 	}
-	rep.Failures = append(rep.Failures, f.assert(merged, rep.ServerDelta, after)...)
+	rep.Failures = f.assert(merged, rep.Record.Ops, rep.ServerDelta, after)
 	return rep, nil
 }
 
@@ -515,19 +545,14 @@ func (f *fleet) watch(ctx context.Context, rec *recorder) {
 	}
 }
 
-// buildRecord condenses the merged measurements into a trajectory record.
+// buildRecord condenses the merged measurements into a Record.
 func (f *fleet) buildRecord(rec *recorder, elapsed time.Duration) Record {
 	clientSnap := f.metrics.Snapshot()
 	r := Record{
-		Time:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
 		Clients:     f.cfg.Clients,
 		DurationSec: elapsed.Seconds(),
 		Seed:        f.cfg.Seed,
 		Mix:         f.cfg.Mix.String(),
-		Race:        raceEnabled,
 		Ops:         map[string]OpRecord{},
 		Rejected429: rec.rejected,
 		Deduped:     rec.deduped,
@@ -545,8 +570,6 @@ func (f *fleet) buildRecord(rec *recorder, elapsed time.Duration) Record {
 			P95us:  s.Quantile(0.95),
 			P99us:  s.Quantile(0.99),
 			MaxUs:  s.Max(),
-			MeanUs: s.Mean(),
-			Sketch: s,
 		}
 		totalOps += s.Count()
 	}
@@ -556,7 +579,6 @@ func (f *fleet) buildRecord(rec *recorder, elapsed time.Duration) Record {
 		}
 		totalErrs += n
 	}
-	r.TotalOps = totalOps
 	if elapsed > 0 {
 		r.ThroughputOps = float64(totalOps) / elapsed.Seconds()
 	}
@@ -582,8 +604,8 @@ func counterDelta(before, after obs.Snapshot) map[string]int64 {
 // retry client's semantics: a cached or deduped response reaches the client
 // exactly once per successful submission, and retried 429s never produce
 // one, so the daemon's cache_hits and jobs_deduped deltas must equal the
-// client-side observations to the unit.
-func (f *fleet) assert(rec *recorder, delta map[string]int64, after obs.Snapshot) []string {
+// client-side observations to the unit. ops is the run's built Record.Ops.
+func (f *fleet) assert(rec *recorder, ops map[string]OpRecord, delta map[string]int64, after obs.Snapshot) []string {
 	var fail []string
 	mix := f.cfg.Mix
 
@@ -606,9 +628,8 @@ func (f *fleet) assert(rec *recorder, delta map[string]int64, after obs.Snapshot
 	if mix.Has(OpWatch) {
 		needQuantiles = append(needQuantiles, KeyWatch)
 	}
-	rcd := f.buildRecordOpsView(rec)
 	for _, key := range needQuantiles {
-		op, ok := rcd[key]
+		op, ok := ops[key]
 		if !ok || op.Count == 0 || op.P50us <= 0 || op.P95us <= 0 || op.P99us <= 0 {
 			fail = append(fail, fmt.Sprintf("scenario: %s quantiles are zero or missing", key))
 		}
@@ -657,14 +678,4 @@ func (f *fleet) assert(rec *recorder, delta map[string]int64, after obs.Snapshot
 	}
 	sort.Strings(fail)
 	return fail
-}
-
-// buildRecordOpsView is the quantile view assert needs without duplicating
-// buildRecord's bookkeeping.
-func (f *fleet) buildRecordOpsView(rec *recorder) map[string]OpRecord {
-	out := map[string]OpRecord{}
-	for key, s := range rec.sketches {
-		out[key] = OpRecord{Count: s.Count(), P50us: s.Quantile(0.5), P95us: s.Quantile(0.95), P99us: s.Quantile(0.99)}
-	}
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -21,10 +20,7 @@ import (
 // workload for 5 seconds, and require — with no tolerance — that every
 // scenario fired (cache hits, dedup coalescing, 429 pushback), that the
 // client's observations reconcile exactly with the daemon's admission
-// counters, that submit and watch quantiles are non-zero, and that the
-// recorded trajectory round-trips through BENCH_serve.json with a
-// regression gate that provably fails against a doctored 2x-faster
-// baseline.
+// counters, and that submit and watch quantiles are non-zero.
 func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke needs a few seconds of sustained load")
@@ -89,34 +85,6 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	if rec.Clients != 200 {
 		t.Errorf("record says %d clients, want 200", rec.Clients)
-	}
-
-	// The record must survive the trajectory codec.
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	if err := AppendRecord(path, rec); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := ReadTrajectory(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back := tr.Last()
-	if back == nil || back.Ops[KeySubmit].Count != rec.Ops[KeySubmit].Count {
-		t.Fatalf("trajectory round trip lost the record: %+v", back)
-	}
-
-	// Gate self-test: against its own record the gate passes; against a
-	// doctored baseline from a machine 2x faster it must fail.
-	if fails := Gate(&rec, back, 0.75); len(fails) != 0 {
-		t.Errorf("gate failed against its own record: %v", fails)
-	}
-	doctored := DoctorBaseline(back, 2)
-	fails := Gate(&rec, doctored, 0.75)
-	if len(fails) == 0 {
-		t.Fatal("gate passed against a 2x-faster doctored baseline")
-	}
-	if !strings.Contains(strings.Join(fails, "\n"), "throughput") {
-		t.Errorf("doctored gate failures never mention throughput: %v", fails)
 	}
 }
 

@@ -38,9 +38,7 @@ const (
 	// OpMetrics scrapes /metrics.
 	OpMetrics
 	// OpApprox submits an approx-mode spec inside a pre-anchored family:
-	// the surrogate fast path, answered without simulation. Appended at the
-	// end of the enum so the positional weight arrays of recorded
-	// trajectories keep their meaning.
+	// the surrogate fast path, answered without simulation.
 	OpApprox
 
 	numOps
@@ -66,9 +64,9 @@ type Mix struct {
 }
 
 // namedMixes are the built-in workload profiles. "mixed" is the default
-// and the one BENCH_serve.json trajectories are recorded with: every
-// service path — cache hit, fresh miss, dedup storm, overload burst, SSE
-// watch, result fetch, metrics scrape — exercised in one run.
+// and the one `make load-smoke` runs: every service path — cache hit, fresh
+// miss, dedup storm, overload burst, SSE watch, result fetch, metrics
+// scrape, surrogate answer — exercised in one run.
 var namedMixes = []Mix{
 	{Name: "mixed", Weights: [numOps]int{5, 2, 2, 1, 2, 2, 1, 2}},
 	{Name: "cache-hit", Weights: [numOps]int{10, 0, 0, 0, 0, 2, 1, 0}},

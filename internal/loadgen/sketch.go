@@ -9,15 +9,8 @@ package loadgen
 // allocation-free after the first observation, so a fleet of hundreds of
 // clients can record every request; per-worker sketches merge exactly
 // (bucket-wise) at the end of a run.
-//
-// The JSON form is versioned and validated on decode: BENCH_serve.json
-// embeds sketches so future tooling can recompute any quantile from a
-// committed trajectory, and a corrupt or truncated file must fail cleanly
-// (see FuzzSketchDecode).
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 	"time"
@@ -29,8 +22,6 @@ const (
 	// sketchBuckets covers every nonnegative int64: 64 linear buckets plus
 	// 32 sub-buckets for each of the 58 octaves [2^6, 2^63].
 	sketchBuckets = sketchLinearMax + (63-sketchSubBits)*(1<<sketchSubBits)
-	// sketchVersion is the JSON codec version; decoding rejects others.
-	sketchVersion = 1
 )
 
 // Sketch accumulates nonnegative int64 observations. The zero value is
@@ -38,7 +29,6 @@ const (
 type Sketch struct {
 	counts []int64 // nil until the first Add; always sketchBuckets long after
 	count  int64
-	sum    int64
 	min    int64
 	max    int64
 }
@@ -83,7 +73,6 @@ func (s *Sketch) Add(v int64) {
 		s.max = v
 	}
 	s.count++
-	s.sum += v
 	s.counts[sketchIndex(v)]++
 }
 
@@ -92,14 +81,6 @@ func (s *Sketch) AddDuration(d time.Duration) { s.Add(d.Microseconds()) }
 
 // Count returns the number of observations.
 func (s *Sketch) Count() int64 { return s.count }
-
-// Mean returns the exact mean (0 when empty).
-func (s *Sketch) Mean() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return float64(s.sum) / float64(s.count)
-}
 
 // Min returns the smallest observation (0 when empty).
 func (s *Sketch) Min() int64 { return s.min }
@@ -154,74 +135,4 @@ func (s *Sketch) Merge(o *Sketch) {
 		s.max = o.max
 	}
 	s.count += o.count
-	s.sum += o.sum
-}
-
-// sketchJSON is the compact wire form: occupied buckets as [index, count]
-// pairs in ascending index order.
-type sketchJSON struct {
-	V       int        `json:"v"`
-	Count   int64      `json:"count"`
-	Sum     int64      `json:"sum"`
-	Min     int64      `json:"min"`
-	Max     int64      `json:"max"`
-	Buckets [][2]int64 `json:"buckets,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (s *Sketch) MarshalJSON() ([]byte, error) {
-	out := sketchJSON{V: sketchVersion, Count: s.count, Sum: s.sum, Min: s.min, Max: s.max}
-	for i, c := range s.counts {
-		if c != 0 {
-			out.Buckets = append(out.Buckets, [2]int64{int64(i), c})
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler with full validation: version,
-// bucket ordering and range, count consistency, and min/max sanity. A
-// sketch from a corrupt or hand-doctored trajectory decodes to an error,
-// never to a panic or a silently wrong distribution.
-func (s *Sketch) UnmarshalJSON(data []byte) error {
-	var in sketchJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("loadgen: decoding sketch: %w", err)
-	}
-	if in.V != sketchVersion {
-		return fmt.Errorf("loadgen: unsupported sketch version %d (want %d)", in.V, sketchVersion)
-	}
-	if in.Count < 0 {
-		return fmt.Errorf("loadgen: sketch count %d is negative", in.Count)
-	}
-	if in.Count == 0 {
-		if len(in.Buckets) != 0 {
-			return fmt.Errorf("loadgen: empty sketch carries %d buckets", len(in.Buckets))
-		}
-		*s = Sketch{}
-		return nil
-	}
-	if in.Min < 0 || in.Max < in.Min {
-		return fmt.Errorf("loadgen: sketch range [%d, %d] is invalid", in.Min, in.Max)
-	}
-	counts := make([]int64, sketchBuckets)
-	total := int64(0)
-	prev := int64(-1)
-	for _, b := range in.Buckets {
-		idx, c := b[0], b[1]
-		if idx <= prev || idx >= sketchBuckets {
-			return fmt.Errorf("loadgen: sketch bucket index %d out of order or range", idx)
-		}
-		if c <= 0 || c > in.Count {
-			return fmt.Errorf("loadgen: sketch bucket %d has impossible count %d", idx, c)
-		}
-		counts[idx] = c
-		total += c
-		prev = idx
-	}
-	if total != in.Count {
-		return fmt.Errorf("loadgen: sketch buckets sum to %d, header says %d", total, in.Count)
-	}
-	*s = Sketch{counts: counts, count: in.Count, sum: in.Sum, min: in.Min, max: in.Max}
-	return nil
 }

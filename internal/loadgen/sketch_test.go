@@ -1,13 +1,11 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestSketchExactBelowLinearMax pins the exact-linear region: every value
@@ -104,90 +102,6 @@ func TestSketchMergeMatchesUnion(t *testing.T) {
 			t.Errorf("q%.2f: merged %d, union %d", q, got, want)
 		}
 	}
-}
-
-// TestSketchJSONRoundTrip pins the codec: encode, decode, identical
-// quantiles and moments.
-func TestSketchJSONRoundTrip(t *testing.T) {
-	var s Sketch
-	for _, d := range []time.Duration{120 * time.Microsecond, 3 * time.Millisecond, 900 * time.Millisecond, 4 * time.Second} {
-		for i := 0; i < 10; i++ {
-			s.AddDuration(d)
-		}
-	}
-	data, err := json.Marshal(&s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Sketch
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Count() != s.Count() || back.Mean() != s.Mean() || back.Min() != s.Min() || back.Max() != s.Max() {
-		t.Fatalf("round trip changed moments: %+v vs %+v", back, s)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got, want := back.Quantile(q), s.Quantile(q); got != want {
-			t.Errorf("q%.2f: decoded %d, original %d", q, got, want)
-		}
-	}
-}
-
-// TestSketchDecodeRejectsCorruption enumerates the validation rules: each
-// doctored document must produce an error, never a panic or silent accept.
-func TestSketchDecodeRejectsCorruption(t *testing.T) {
-	cases := map[string]string{
-		"wrong version":       `{"v":2,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,1]]}`,
-		"negative count":      `{"v":1,"count":-3,"sum":0,"min":0,"max":0}`,
-		"empty with buckets":  `{"v":1,"count":0,"sum":0,"min":0,"max":0,"buckets":[[1,1]]}`,
-		"max below min":       `{"v":1,"count":1,"sum":5,"min":9,"max":5,"buckets":[[5,1]]}`,
-		"bucket out of range": `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[99999,1]]}`,
-		"buckets unordered":   `{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[7,1],[3,1]]}`,
-		"count mismatch":      `{"v":1,"count":5,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`,
-		"zero bucket count":   `{"v":1,"count":1,"sum":5,"min":5,"max":5,"buckets":[[5,0],[6,1]]}`,
-		"not json":            `{"v":1,`,
-	}
-	for name, doc := range cases {
-		var s Sketch
-		if err := json.Unmarshal([]byte(doc), &s); err == nil {
-			t.Errorf("%s: decoded without error", name)
-		}
-	}
-}
-
-// FuzzSketchDecode hammers the sketch decoder with arbitrary bytes: it must
-// never panic, and anything it accepts must round-trip consistently.
-func FuzzSketchDecode(f *testing.F) {
-	f.Add([]byte(`{"v":1,"count":2,"sum":10,"min":3,"max":7,"buckets":[[3,1],[7,1]]}`))
-	f.Add([]byte(`{"v":1,"count":0,"sum":0,"min":0,"max":0}`))
-	f.Add([]byte(`{"v":2}`))
-	f.Add([]byte(`null`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var s Sketch
-		if err := json.Unmarshal(data, &s); err != nil {
-			return
-		}
-		// Accepted: the sketch must be internally consistent.
-		if s.Count() < 0 {
-			t.Fatalf("accepted sketch with negative count: %q", data)
-		}
-		if s.Count() > 0 && (s.Min() < 0 || s.Max() < s.Min()) {
-			t.Fatalf("accepted sketch with bad range [%d,%d]: %q", s.Min(), s.Max(), data)
-		}
-		_ = s.Quantile(0.5)
-		_ = s.Quantile(0.99)
-		out, err := json.Marshal(&s)
-		if err != nil {
-			t.Fatalf("re-encoding accepted sketch: %v", err)
-		}
-		var back Sketch
-		if err := json.Unmarshal(out, &back); err != nil {
-			t.Fatalf("accepted sketch did not round-trip: %v (%s)", err, out)
-		}
-		if back.Count() != s.Count() || back.Quantile(0.95) != s.Quantile(0.95) {
-			t.Fatalf("round trip changed sketch: %s", out)
-		}
-	})
 }
 
 // TestParseMix covers named mixes, explicit weights, and rejects.
