@@ -65,8 +65,8 @@ race:
 	$(GO) test -race ./internal/sim ./internal/queue ./internal/torus ./internal/sweep ./internal/obs ./internal/fault ./internal/serve ./internal/journal ./internal/loadgen ./internal/cluster ./internal/chaosnet ./internal/surrogate ./internal/forecast
 
 # Every chaos suite under the race detector, each test once:
-# - journal and serve: lenient journal loading, WAL replay and quarantine,
-#   client retry/backoff;
+# - journal and serve: journal replay past torn tails and corrupt records,
+#   concurrent appends, WAL replay and quarantine, client retry/backoff;
 # - cluster: the in-process fleet fabric (byte-identical scatter/gather,
 #   lease expiry + duplicate discard, hung-worker re-dispatch, lease
 #   adoption) and its network chaos matrix (partition storm -> local
@@ -80,7 +80,7 @@ race:
 #   checkpointed replications;
 # - loadgen: the partition-storm load scenario.
 chaos:
-	$(GO) test -race -run 'Chaos|Crash|Torn|Quarantine|Recovery|Retry|Lenient|WAL|Poison|SetSync|Cache|Race' \
+	$(GO) test -race -run 'Chaos|Crash|Torn|Corrupt|Quarantine|Recovery|Retry|WAL|Poison|SetSync|Cache|Race' \
 		./internal/journal ./internal/serve
 	$(GO) test -race ./internal/cluster ./internal/chaosnet ./cmd/starsimd
 	$(GO) test -race -run TestLoadPartitionStorm -count=1 ./internal/loadgen

@@ -16,6 +16,7 @@ import (
 
 	"prioritystar"
 	"prioritystar/internal/cli"
+	"prioritystar/internal/spec"
 )
 
 // metricsFor maps each experiment to the metrics its paper figures plot.
@@ -95,6 +96,11 @@ func run(scaleStr, id, out string, progress bool, ckptDir string, resume bool) e
 			return err
 		}
 		if ckptDir != "" {
+			// The journal header is the canonical fingerprint, so a resume
+			// never replays records of another engine or traffic mix.
+			if err := spec.Stamp(exp); err != nil {
+				return err
+			}
 			exp.Checkpoint = filepath.Join(ckptDir, fmt.Sprintf("%s_%s.jsonl", fid, scaleStr))
 			exp.Resume = resume
 		}

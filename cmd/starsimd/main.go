@@ -63,13 +63,10 @@ func main() {
 
 		coordMode = flag.Bool("coordinator", false, "scatter accepted jobs across registered fleet workers")
 		fleetWAL  = flag.String("fleet-wal", "", "persist the coordinator's sub-job lease journal here (re-adopted on restart)")
-		leaseTTL  = flag.Duration("lease-ttl", 0, "re-dispatch a sub-job after this long without a result (default 30s)")
+		leaseTTL  = flag.Duration("lease-ttl", 0, "re-dispatch a sub-job after this long without a result; a sub-job call times out at 20x this (default 30s)")
 		heartbeat = flag.Duration("heartbeat", 0, "worker heartbeat cadence the coordinator dictates (default 2s)")
 		sjRetries = flag.Int("subjob-retries", 0, "dispatch attempts per sub-job before the job attempt fails (default 3)")
-		sjTimeout = flag.Duration("subjob-timeout", 0, "hard deadline on one sub-job call to a worker; must be >= -heartbeat (default 20x lease TTL)")
 		degradeTO = flag.Duration("degrade-after", 0, "run sub-jobs locally after this long with no eligible worker (default max(6x -heartbeat, 5s))")
-		noHedge   = flag.Bool("no-hedge", false, "disable speculative re-dispatch of straggler sub-jobs")
-		hedgeQ    = flag.Float64("hedge-quantile", 0, "observed sub-job latency quantile that triggers a hedged dispatch (default 0.95)")
 		brkThresh = flag.Int("breaker-threshold", 0, "consecutive failures that open a worker's circuit breaker (default 3)")
 		brkCool   = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (default 5s)")
 
@@ -100,10 +97,7 @@ func main() {
 			LeaseTTL:         *leaseTTL,
 			Heartbeat:        *heartbeat,
 			SubjobRetries:    *sjRetries,
-			SubjobTimeout:    *sjTimeout,
 			DegradeAfter:     *degradeTO,
-			HedgeDisabled:    *noHedge,
-			HedgeQuantile:    *hedgeQ,
 			BreakerThreshold: *brkThresh,
 			BreakerCooldown:  *brkCool,
 			JournalPath:      *fleetWAL,

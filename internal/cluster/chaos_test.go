@@ -307,22 +307,22 @@ func TestHedgedDispatchDiscardsLoser(t *testing.T) {
 	}
 }
 
-// TestSubjobTimeoutValidation: the configurable call timeout must not
-// undercut the liveness cadence.
-func TestSubjobTimeoutValidation(t *testing.T) {
+// TestCallTimeoutValidation: the sub-job call deadline, 20x the lease TTL,
+// must not undercut the liveness cadence.
+func TestCallTimeoutValidation(t *testing.T) {
 	_, err := NewCoordinator(CoordinatorConfig{
-		Heartbeat: 2 * time.Second, SubjobTimeout: time.Second,
+		Heartbeat: 2 * time.Second, LeaseTTL: 10 * time.Millisecond,
 	})
 	if err == nil {
-		t.Fatal("sub-second SubjobTimeout below heartbeat accepted")
+		t.Fatal("sub-second call timeout below heartbeat accepted")
 	}
 	c, err := NewCoordinator(CoordinatorConfig{LeaseTTL: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got, want := c.cfg.SubjobTimeout, 20*30*time.Second; got != want {
-		t.Fatalf("default SubjobTimeout = %v, want %v", got, want)
+	if got, want := c.callTimeout(), 20*30*time.Second; got != want {
+		t.Fatalf("callTimeout() = %v, want %v", got, want)
 	}
 }
 

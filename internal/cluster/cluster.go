@@ -56,6 +56,7 @@ import (
 	"sync"
 	"time"
 
+	"prioritystar/internal/journal"
 	"prioritystar/internal/obs"
 	"prioritystar/internal/sim"
 	"prioritystar/internal/spec"
@@ -67,7 +68,8 @@ type CoordinatorConfig struct {
 	// LeaseTTL is how long a dispatched sub-job may run before it is
 	// re-dispatched to another worker. Default 30s. The original call is
 	// never canceled: a lease that expires because the sub-job is simply
-	// slow still completes via the duplicate-discard path.
+	// slow still completes via the duplicate-discard path; it times out at
+	// 20x LeaseTTL (callTimeout), which must be at least Heartbeat.
 	LeaseTTL time.Duration
 	// Heartbeat is the cadence workers are told to report at. Default 2s.
 	// A worker silent for three heartbeats (expiryBeats) counts as dead.
@@ -76,14 +78,6 @@ type CoordinatorConfig struct {
 	// the job attempt fails (and the serve layer's retry/quarantine budget
 	// takes over). Default 3.
 	SubjobRetries int
-	// SubjobTimeout is the hard deadline on one sub-job HTTP call — the
-	// backstop that reclaims goroutines stuck on a partitioned worker whose
-	// connection neither answers nor resets. Default 20x LeaseTTL (a lease
-	// expiry re-dispatches long before this fires; the late original may
-	// still fold via duplicate-discard). Must be at least Heartbeat: a call
-	// timeout shorter than the liveness cadence would declare every worker
-	// broken before it could ever prove otherwise.
-	SubjobTimeout time.Duration
 	// DegradeAfter is how long pickWorker waits for an eligible worker (live
 	// and breaker-admitted) before the coordinator gives up on the fleet and
 	// runs the sub-job locally. Default max(6x Heartbeat, 5s): twice the
@@ -92,14 +86,6 @@ type CoordinatorConfig struct {
 	// Once degraded, further picks fail fast so the job drains locally
 	// instead of waiting DegradeAfter per sub-job.
 	DegradeAfter time.Duration
-	// HedgeQuantile is the straggler quantile of observed sub-job call
-	// latency at which a second, hedged copy of an outstanding sub-job is
-	// dispatched to a different worker. Default 0.95. Hedging waits for at
-	// least hedgeMinSamples observations and never fires below hedgeMinDelay
-	// or at/above LeaseTTL (lease expiry already covers that regime).
-	HedgeQuantile float64
-	// HedgeDisabled turns speculative re-dispatch off.
-	HedgeDisabled bool
 	// BreakerThreshold is the consecutive hard-failure (or slow-strike)
 	// count that opens a worker's circuit breaker. Default 3.
 	BreakerThreshold int
@@ -152,7 +138,7 @@ func (w *workerState) load() int {
 type Coordinator struct {
 	cfg CoordinatorConfig
 	hc  *http.Client
-	jnl *fleetJournal
+	jnl *journal.Writer
 
 	mu       sync.Mutex
 	seq      int
@@ -180,6 +166,12 @@ const (
 	// latRingSize bounds the latency observations kept for the hedge
 	// quantile.
 	latRingSize = 128
+	// hedgeQuantile is the straggler quantile of observed sub-job call
+	// latency at which a second, hedged copy of an outstanding sub-job is
+	// dispatched to a different worker. Hedging waits for at least
+	// hedgeMinSamples observations and never fires below hedgeMinDelay or
+	// at/above LeaseTTL (lease expiry already covers that regime).
+	hedgeQuantile = 0.95
 	// hedgeMinSamples is how many observations hedging needs before it
 	// trusts the quantile.
 	hedgeMinSamples = 8
@@ -194,6 +186,14 @@ func (c *Coordinator) workerExpiry() time.Duration {
 	return expiryBeats * c.cfg.Heartbeat
 }
 
+// callTimeout is the hard deadline on one sub-job HTTP call — the backstop
+// that reclaims goroutines stuck on a partitioned worker whose connection
+// neither answers nor resets. A lease expiry re-dispatches long before it
+// fires; the late original may still fold via duplicate-discard.
+func (c *Coordinator) callTimeout() time.Duration {
+	return 20 * c.cfg.LeaseTTL
+}
+
 // NewCoordinator opens (and replays) the lease journal and builds the
 // coordinator. Close releases the journal.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
@@ -206,20 +206,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.SubjobRetries <= 0 {
 		cfg.SubjobRetries = 3
 	}
-	if cfg.SubjobTimeout == 0 {
-		cfg.SubjobTimeout = 20 * cfg.LeaseTTL
-	}
-	if cfg.SubjobTimeout < cfg.Heartbeat {
-		return nil, fmt.Errorf("cluster: subjob timeout %v below heartbeat interval %v", cfg.SubjobTimeout, cfg.Heartbeat)
-	}
 	if cfg.DegradeAfter <= 0 {
 		cfg.DegradeAfter = 2 * expiryBeats * cfg.Heartbeat
 		if cfg.DegradeAfter < 5*time.Second {
 			cfg.DegradeAfter = 5 * time.Second
 		}
-	}
-	if cfg.HedgeQuantile <= 0 || cfg.HedgeQuantile >= 1 {
-		cfg.HedgeQuantile = 0.95
 	}
 	if cfg.BreakerThreshold <= 0 {
 		cfg.BreakerThreshold = 3
@@ -255,6 +246,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		rnd:      rand.New(rand.NewSource(cfg.now().UnixNano())),
 		breakers: make(map[string]*breaker),
 	}
+	// A call deadline shorter than the liveness cadence would declare every
+	// worker broken before it could ever prove otherwise.
+	if c.callTimeout() < cfg.Heartbeat {
+		return nil, fmt.Errorf("cluster: sub-job call timeout %v (20x lease TTL) below heartbeat interval %v", c.callTimeout(), cfg.Heartbeat)
+	}
 	if cfg.JournalPath != "" {
 		jnl, adopted, skipped, err := openFleetJournal(cfg.JournalPath, cfg.engine, cfg.Logf)
 		if err != nil {
@@ -272,7 +268,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // Close releases the lease journal.
-func (c *Coordinator) Close() error { return c.jnl.close() }
+func (c *Coordinator) Close() error { return c.jnl.Close() }
 
 // Metrics returns the coordinator's metric set.
 func (c *Coordinator) Metrics() *obs.MetricSet { return c.cfg.Metrics }
@@ -616,9 +612,9 @@ func (c *Coordinator) Degraded() bool {
 }
 
 // hedgeDelay derives the straggler threshold from observed successful call
-// latencies: the configured quantile over the ring, floored at
-// hedgeMinDelay. Zero disables hedging for this dispatch (too few samples,
-// or the quantile has grown into lease-expiry territory, which already
+// latencies: the hedgeQuantile over the ring, floored at hedgeMinDelay.
+// Zero disables hedging for this dispatch (too few samples, or the
+// quantile has grown into lease-expiry territory, which already
 // re-dispatches).
 func (c *Coordinator) hedgeDelay() time.Duration {
 	c.latMu.Lock()
@@ -634,7 +630,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	copy(obs, c.lat[:n])
 	c.latMu.Unlock()
 	sort.Float64s(obs)
-	idx := int(c.cfg.HedgeQuantile * float64(n))
+	idx := int(hedgeQuantile * float64(n))
 	if idx >= n {
 		idx = n - 1
 	}
@@ -688,7 +684,7 @@ func (c *Coordinator) deliver(j *fleetJob, sj sweep.Subjob, key string, recs []s
 // error: a full disk must degrade re-adoption, not wedge the fleet.
 func (c *Coordinator) journalLease(rec fleetRecord) {
 	rec.Time = c.cfg.now().UTC().Format(time.RFC3339)
-	if err := c.jnl.append(rec); err != nil {
+	if err := c.jnl.Append(rec); err != nil {
 		c.logf("cluster: journaling lease %s/%s: %v", rec.Op, rec.Key, err)
 	}
 }
@@ -726,7 +722,7 @@ func (c *Coordinator) RunJob(exp *sweep.Experiment) (*sweep.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: canonicalizing spec: %w", err)
 	}
-	fp := exp.JournalFingerprint()
+	fp := exp.Fingerprint
 	res, err := exp.Execute(maxInflight, func(int) sweep.Executor {
 		return func(ctx context.Context, sj sweep.Subjob, g *sweep.Gather) error {
 			return c.superviseSubjob(ctx, &fleetJob{g: g, fp: fp, spec: specJSON}, sj)
@@ -753,13 +749,13 @@ type callOutcome struct {
 	hedge bool
 }
 
-// startCall posts one sub-job to a worker in the background under the
-// configured SubjobTimeout, reporting on ch. The returned cancel releases
-// the call's context resources (and aborts the call if still in flight); a
-// lease expiry deliberately does not call it, so a slow-but-alive worker
-// still completes the sub-job and folds via duplicate-discard.
+// startCall posts one sub-job to a worker in the background under
+// callTimeout, reporting on ch. The returned cancel releases the call's
+// context resources (and aborts the call if still in flight); a lease
+// expiry deliberately does not call it, so a slow-but-alive worker still
+// completes the sub-job and folds via duplicate-discard.
 func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key string, ws *workerState, hedge bool, ch chan<- callOutcome) context.CancelFunc {
-	callCtx, cancel := context.WithTimeout(context.Background(), c.cfg.SubjobTimeout)
+	callCtx, cancel := context.WithTimeout(context.Background(), c.callTimeout())
 	go func() {
 		start := time.Now()
 		var resp SubjobResponse
@@ -777,7 +773,7 @@ func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key
 // duplicate-discard, and breaker accounting still happens — a partitioned
 // worker's eventual timeout must open its breaker even when the sub-job
 // already completed elsewhere. abort cancels the calls up front (job
-// teardown); otherwise they run to their own SubjobTimeout.
+// teardown); otherwise they run to their own callTimeout.
 func (c *Coordinator) drainCalls(j *fleetJob, sj sweep.Subjob, key string, ch <-chan callOutcome, pending int, cancels []context.CancelFunc, abort bool) {
 	if abort {
 		for _, cancel := range cancels {
@@ -844,11 +840,9 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep
 		pending := 1
 		var hedgeTimer *time.Timer
 		var hedgeC <-chan time.Time
-		if !c.cfg.HedgeDisabled {
-			if d := c.hedgeDelay(); d > 0 {
-				hedgeTimer = time.NewTimer(d)
-				hedgeC = hedgeTimer.C
-			}
+		if d := c.hedgeDelay(); d > 0 {
+			hedgeTimer = time.NewTimer(d)
+			hedgeC = hedgeTimer.C
 		}
 		lease := time.NewTimer(c.cfg.LeaseTTL)
 		stopTimers := func() {

@@ -396,7 +396,7 @@ func TestAdoptedLeasePinsWorker(t *testing.T) {
 	dir := t.TempDir()
 	jpath := filepath.Join(dir, "fleet.jsonl")
 	exp := decodeSpec(t, faultedSpec(44))
-	fp := exp.JournalFingerprint()
+	fp := exp.Fingerprint
 	subjobs, err := exp.Subjobs(func(sweep.RepKey) bool { return false })
 	if err != nil {
 		t.Fatal(err)
@@ -410,11 +410,11 @@ func TestAdoptedLeasePinsWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sj := range subjobs {
-		if err := jnl.append(fleetRecord{Op: fleetOpGrant, FP: fp, Key: sj.Key(), Addr: workerA.addr}); err != nil {
+		if err := jnl.Append(fleetRecord{Op: fleetOpGrant, FP: fp, Key: sj.Key(), Addr: workerA.addr}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := jnl.close(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -458,7 +458,7 @@ func TestFleetJournalReplay(t *testing.T) {
 	}
 	appendRec := func(rec fleetRecord) {
 		t.Helper()
-		if err := jnl.append(rec); err != nil {
+		if err := jnl.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -467,7 +467,7 @@ func TestFleetJournalReplay(t *testing.T) {
 	appendRec(fleetRecord{Op: fleetOpGrant, FP: "ps1-x", Key: "s1r0@0.1", Addr: "h1:1"})
 	appendRec(fleetRecord{Op: fleetOpDone, FP: "ps1-x", Key: "s0r0@0.1"})
 	appendRec(fleetRecord{Op: fleetOpExpire, FP: "ps1-x", Key: "s1r0@0.1"})
-	if err := jnl.close(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -480,7 +480,7 @@ func TestFleetJournalReplay(t *testing.T) {
 	}
 	// Compaction dropped the resolved records: a second replay of the
 	// now-compacted file sees the same single grant.
-	if err := jnl.close(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	jnl, adopted, skipped, err = openFleetJournal(path, "e1", t.Logf)
@@ -490,7 +490,7 @@ func TestFleetJournalReplay(t *testing.T) {
 	if len(adopted) != 1 || skipped != 0 {
 		t.Fatalf("compacted replay: adopted=%d skipped=%d", len(adopted), skipped)
 	}
-	if err := jnl.close(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -502,7 +502,7 @@ func TestFleetJournalReplay(t *testing.T) {
 	if len(adopted) != 0 {
 		t.Fatalf("cross-engine replay adopted %v, want none", adopted)
 	}
-	if err := jnl.close(); err != nil {
+	if err := jnl.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

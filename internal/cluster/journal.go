@@ -11,17 +11,16 @@ package cluster
 // the work finished while the coordinator was down. That preference is what
 // turns a coordinator crash into zero re-simulated replications.
 //
-// Like the job WAL, the journal is compacted on every replay (temp file +
-// rename) down to the still-pending grants, and the header carries the
-// engine version: leases journaled by a different engine name work this
-// engine would not reproduce, so they are discarded.
+// Like the job WAL, the journal is compacted on every replay
+// (journal.Rewrite: a temp file and a rename) down to the still-pending
+// grants, and the header carries the engine version: leases journaled by a
+// different engine name work this engine would not reproduce, so they are
+// discarded.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"prioritystar/internal/journal"
 )
@@ -53,45 +52,13 @@ type fleetRecord struct {
 // leaseKey joins the content address of one sub-job.
 func leaseKey(fp, key string) string { return fp + "|" + key }
 
-// fleetJournal serializes appends from the dispatch goroutines.
-type fleetJournal struct {
-	mu sync.Mutex
-	w  *journal.Writer
-}
-
-func (f *fleetJournal) append(rec fleetRecord) error {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.w == nil {
-		return nil
-	}
-	return f.w.Append(rec)
-}
-
-func (f *fleetJournal) close() error {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.w == nil {
-		return nil
-	}
-	err := f.w.Close()
-	f.w = nil
-	return err
-}
-
-// openFleetJournal replays (leniently) and compacts the lease journal at
-// path. adopted maps leaseKey(fp, key) -> worker address for every grant
-// that never reached done or expire; skipped counts corrupt records dropped
-// by the lenient load.
-func openFleetJournal(path, engine string, logf func(string, ...any)) (f *fleetJournal, adopted map[string]string, skipped int, err error) {
-	adopted = make(map[string]string)
-	_, found, skipped, err := journal.LoadLenient(path, fleetMagic, engine, func(line []byte) error {
+// openFleetJournal replays and compacts the lease journal at path. adopted
+// maps leaseKey(fp, key) -> worker address for every grant that never
+// reached done or expire; skipped counts corrupt records the replay
+// dropped.
+func openFleetJournal(path, engine string, logf func(string, ...any)) (w *journal.Writer, adopted map[string]string, skipped int, err error) {
+	grants := make(map[string]fleetRecord) // leaseKey -> its pending grant
+	_, _, skipped, err = journal.Load(path, fleetMagic, engine, func(line []byte) error {
 		var rec fleetRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
@@ -102,9 +69,9 @@ func openFleetJournal(path, engine string, logf func(string, ...any)) (f *fleetJ
 		k := leaseKey(rec.FP, rec.Key)
 		switch rec.Op {
 		case fleetOpGrant:
-			adopted[k] = rec.Addr
+			grants[k] = rec
 		case fleetOpDone, fleetOpExpire:
-			delete(adopted, k)
+			delete(grants, k)
 		default:
 			return fmt.Errorf("cluster: unknown lease op %q", rec.Op)
 		}
@@ -115,59 +82,28 @@ func openFleetJournal(path, engine string, logf func(string, ...any)) (f *fleetJ
 		if logf != nil {
 			logf("cluster: lease journal %s was written by engine %q; starting fresh", path, fpErr.Got)
 		}
-		adopted = make(map[string]string)
-		found = false
 		err = nil
 	}
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	_ = found
 	if skipped > 0 && logf != nil {
 		logf("cluster: lease journal %s: skipped %d corrupt record(s)", path, skipped)
 	}
 
-	// Compact down to the pending grants through a temp file + rename, so a
-	// crash mid-compaction keeps the old journal.
-	tmp := path + ".tmp"
-	jw, err := journal.Create(tmp, fleetMagic, engine)
+	// Compact down to the pending grants.
+	adopted = make(map[string]string, len(grants))
+	w, err = journal.Rewrite(path, fleetMagic, engine, func(jw *journal.Writer) error {
+		for k, rec := range grants {
+			adopted[k] = rec.Addr
+			if err := jw.Append(rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	for k, addr := range adopted {
-		fp, key, ok := splitLeaseKey(k)
-		if !ok {
-			continue
-		}
-		if err := jw.Append(fleetRecord{Op: fleetOpGrant, FP: fp, Key: key, Addr: addr}); err != nil {
-			jw.Close()
-			return nil, nil, 0, err
-		}
-	}
-	if err := jw.Close(); err != nil {
-		return nil, nil, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
 		return nil, nil, 0, fmt.Errorf("cluster: compacting lease journal: %w", err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	jw, err = journal.OpenAppend(path, fi.Size())
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return &fleetJournal{w: jw}, adopted, skipped, nil
-}
-
-// splitLeaseKey undoes leaseKey at the first separator. Fingerprints are
-// "ps1-<hex>" and never contain '|'.
-func splitLeaseKey(k string) (fp, key string, ok bool) {
-	for i := 0; i < len(k); i++ {
-		if k[i] == '|' {
-			return k[:i], k[i+1:], true
-		}
-	}
-	return "", "", false
+	return w, adopted, skipped, nil
 }

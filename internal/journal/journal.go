@@ -1,11 +1,27 @@
-// Package journal is the JSONL checkpoint-journal machinery shared by the
-// sweep checkpoints (internal/sweep) and the daemon's result cache and job
-// WAL (internal/serve). A journal is a line-oriented JSON file: a header
-// line carrying a magic string and a fingerprint of whatever the journal
-// belongs to, then one JSON record per line. Writers flush per record so a
-// killed process loses at most the line in flight; readers tolerate a torn
-// final line and report the byte length of the intact prefix so appenders
-// can trim the tear before writing anything after it.
+// Package journal is the one owner of how a JSONL journal is replayed,
+// written, compacted and identified: the sweep checkpoints, the daemon's
+// result cache and job WAL, and the coordinator's lease journal all sit on
+// it. A journal is a header line carrying a magic string and a fingerprint
+// of whatever the journal belongs to, then one JSON record per line.
+//
+// # Replay
+//
+// Load is the one replay rule: a record line the caller rejects is skipped
+// and counted, and replay goes on, so one corrupt interior record never
+// discards the intact records after it. A rejected run at the very end of
+// the file is the torn tail of a crashed append instead; it is not counted,
+// and OpenAppend trims it before anything is written after it.
+//
+// # Writing
+//
+// A Writer flushes per record, so a killed process loses at most the line
+// in flight, and it is safe for concurrent use. A nil *Writer stands for a
+// journal that is switched off: Append discards the record and Close
+// returns nil. A closed Writer refuses Append with an error, and a second
+// Close returns nil. Rewrite replaces a journal atomically through a
+// temporary file and a rename, so a crash or a failed rewrite leaves the
+// old journal whole; the job WAL and the lease journal compact themselves
+// through it on every replay.
 //
 // # Durability
 //
@@ -26,6 +42,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync"
 )
 
 // header is the first line of every journal.
@@ -36,14 +53,19 @@ type header struct {
 
 // Writer appends JSON records to a journal file, flushing per record.
 type Writer struct {
-	f    *os.File
+	mu   sync.Mutex
+	f    *os.File // nil once closed
 	w    *bufio.Writer
 	sync bool
 }
 
 // SetSync toggles fsync-per-Append (off by default). See the package
 // comment for the durability trade-off.
-func (j *Writer) SetSync(on bool) { j.sync = on }
+func (j *Writer) SetSync(on bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.sync = on
+}
 
 // Create truncates (or creates) path and writes the header line.
 func Create(path, magic, fingerprint string) (*Writer, error) {
@@ -78,17 +100,51 @@ func OpenAppend(path string, validLen int64) (*Writer, error) {
 	return &Writer{f: f, w: bufio.NewWriter(f)}, nil
 }
 
+// Rewrite atomically replaces the journal at path with a header line and
+// the records fill appends, and returns a Writer appending after them. It
+// writes path+".tmp" and renames it over path only once fill and the flush
+// have succeeded, so a crash or a failed fill leaves the old journal whole.
+func Rewrite(path, magic, fingerprint string, fill func(*Writer) error) (*Writer, error) {
+	tmp := path + ".tmp"
+	w, err := Create(tmp, magic, fingerprint)
+	if err != nil {
+		return nil, err
+	}
+	err = fill(w)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return nil, err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return nil, fmt.Errorf("journal: replacing %s: %w", path, err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, fmt.Errorf("journal: %w", err)
+	}
+	return OpenAppend(path, fi.Size())
+}
+
 // Append marshals v onto its own line and flushes, so a crash loses at most
-// the record in flight.
+// the record in flight. Appending to a nil Writer does nothing; appending
+// to a closed one is an error.
 func (j *Writer) Append(v any) error {
+	if j == nil {
+		return nil
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("journal: encoding record: %w", err)
 	}
-	if _, err := j.w.Write(b); err != nil {
-		return err
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return fmt.Errorf("journal: append: %w", os.ErrClosed)
 	}
-	if err := j.w.WriteByte('\n'); err != nil {
+	if _, err := j.w.Write(append(b, '\n')); err != nil {
 		return err
 	}
 	if err := j.w.Flush(); err != nil {
@@ -100,13 +156,23 @@ func (j *Writer) Append(v any) error {
 	return nil
 }
 
-// Close flushes and closes the underlying file.
+// Close flushes and closes the underlying file. Closing a nil or an
+// already closed Writer returns nil.
 func (j *Writer) Close() error {
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
+	if j == nil {
+		return nil
 	}
-	return j.f.Close()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.f == nil {
+		return nil
+	}
+	err := j.w.Flush()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
+	}
+	j.f = nil
+	return err
 }
 
 // ErrFingerprint reports a journal whose header fingerprint does not match
@@ -123,57 +189,13 @@ func (e *ErrFingerprint) Error() string {
 
 // Load replays a journal. It verifies the header magic (and, when want is
 // non-empty, the header fingerprint), then calls each for every record line
-// in order. A line each fails to accept (returns an error for) is treated as
-// the torn tail of a crashed write: replay stops there, silently, keeping
-// everything before it. validLen is the byte length of the intact prefix —
-// callers pass it to OpenAppend so the tear can never corrupt the next
-// record. A missing or empty file is not an error: found is false and the
-// caller starts from scratch.
-func Load(path, magic, want string, each func(line []byte) error) (validLen int64, found bool, err error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("journal: opening %s: %w", path, err)
-	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return 0, false, nil // empty file: treat as absent
-	}
-	var hdr header
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Magic != magic {
-		return 0, false, fmt.Errorf("journal: %s is not a %s journal", path, magic)
-	}
-	if want != "" && hdr.Fingerprint != want {
-		return 0, false, &ErrFingerprint{Path: path, Got: hdr.Fingerprint}
-	}
-	validLen = int64(len(sc.Bytes())) + 1
-	for sc.Scan() {
-		if err := each(sc.Bytes()); err != nil {
-			break // torn tail from a crash: keep what we have
-		}
-		validLen += int64(len(sc.Bytes())) + 1
-	}
-	if err := sc.Err(); err != nil {
-		return 0, false, fmt.Errorf("journal: reading %s: %w", path, err)
-	}
-	return validLen, true, nil
-}
-
-// LoadLenient replays a journal like Load, but a record line each rejects
-// does not stop the replay: the line is skipped and scanning continues.
-// skipped counts rejected lines that were followed by at least one accepted
-// record — true mid-file corruption (a torn disk write, a flipped bit) as
-// opposed to the torn tail of a crashed append, which trails the last good
-// record and is excluded from both skipped and validLen. validLen is the
-// byte offset just past the last accepted record (interior corrupt lines
-// are inside it, so appending never overwrites good records; the torn tail
-// is past it, so OpenAppend trims the tear as usual).
-func LoadLenient(path, magic, want string, each func(line []byte) error) (validLen int64, found bool, skipped int, err error) {
+// in order; a line each rejects is skipped. skipped counts the rejected
+// lines followed by an accepted record. validLen is the byte offset just
+// past the last accepted record: interior corrupt lines lie inside it, so
+// appending never overwrites good records, and the torn tail lies past it,
+// so OpenAppend(validLen) trims the tear. A missing or empty file is not an
+// error: found is false and the caller starts from scratch.
+func Load(path, magic, want string, each func(line []byte) error) (validLen int64, found bool, skipped int, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, false, 0, nil

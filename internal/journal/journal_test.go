@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ type rec struct {
 func collect(t *testing.T, path, magic, want string) ([]rec, int64, bool) {
 	t.Helper()
 	var out []rec
-	validLen, found, err := Load(path, magic, want, func(line []byte) error {
+	validLen, found, _, err := Load(path, magic, want, func(line []byte) error {
 		var r rec
 		if err := json.Unmarshal(line, &r); err != nil {
 			return err
@@ -57,12 +58,12 @@ func TestRoundTrip(t *testing.T) {
 
 func TestMissingAndEmpty(t *testing.T) {
 	dir := t.TempDir()
-	if _, found, err := Load(filepath.Join(dir, "absent"), "m", "", nil); err != nil || found {
+	if _, found, _, err := Load(filepath.Join(dir, "absent"), "m", "", nil); err != nil || found {
 		t.Fatalf("missing file: found=%v err=%v", found, err)
 	}
 	empty := filepath.Join(dir, "empty")
 	os.WriteFile(empty, nil, 0o644)
-	if _, found, err := Load(empty, "m", "", nil); err != nil || found {
+	if _, found, _, err := Load(empty, "m", "", nil); err != nil || found {
 		t.Fatalf("empty file: found=%v err=%v", found, err)
 	}
 }
@@ -72,10 +73,10 @@ func TestBadMagicAndFingerprint(t *testing.T) {
 	w, _ := Create(path, "m1", "fp1")
 	w.Append(rec{N: 1})
 	w.Close()
-	if _, _, err := Load(path, "other", "", func([]byte) error { return nil }); err == nil {
+	if _, _, _, err := Load(path, "other", "", func([]byte) error { return nil }); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
-	_, _, err := Load(path, "m1", "fp2", func([]byte) error { return nil })
+	_, _, _, err := Load(path, "m1", "fp2", func([]byte) error { return nil })
 	var fp *ErrFingerprint
 	if !errors.As(err, &fp) || fp.Got != "fp1" {
 		t.Fatalf("want ErrFingerprint with got=fp1, have %v", err)
@@ -117,10 +118,11 @@ func TestTornTailTrimmedOnAppend(t *testing.T) {
 	}
 }
 
-// collectLenient replays path with LoadLenient, rejecting undecodable lines.
+// collectLenient replays path with Load, rejecting undecodable lines and
+// records marked "bad".
 func collectLenient(t *testing.T, path, magic, want string) (out []rec, validLen int64, skipped int) {
 	t.Helper()
-	validLen, _, skipped, err := LoadLenient(path, magic, want, func(line []byte) error {
+	validLen, _, skipped, err := Load(path, magic, want, func(line []byte) error {
 		var r rec
 		if err := json.Unmarshal(line, &r); err != nil {
 			return err
@@ -132,16 +134,16 @@ func collectLenient(t *testing.T, path, magic, want string) (out []rec, validLen
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("LoadLenient: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	return out, validLen, skipped
 }
 
-// TestLoadLenientSkipsInteriorCorruption: a corrupt record in the middle of
-// the file is skipped and counted, while every record around it — including
+// TestLoadSkipsInteriorCorruption: a corrupt record in the middle of the
+// file is skipped and counted, while every record around it — including
 // ones after it — is kept. validLen covers the whole intact file so a later
 // append never overwrites good records.
-func TestLoadLenientSkipsInteriorCorruption(t *testing.T) {
+func TestLoadSkipsInteriorCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	w, _ := Create(path, "m1", "fp")
 	w.Append(rec{N: 1})
@@ -169,19 +171,12 @@ func TestLoadLenientSkipsInteriorCorruption(t *testing.T) {
 	if validLen != fileSize(t, path) {
 		t.Fatalf("validLen %d != file size %d (interior corruption must stay inside the valid prefix)", validLen, fileSize(t, path))
 	}
-
-	// strict Load on the same file stops at the first undecodable line and
-	// never sees the record appended after it.
-	strict, _, _ := collect(t, path, "m1", "fp")
-	if len(strict) != 3 || strict[2].N != 3 {
-		t.Fatalf("strict replay = %v, want to stop before record 4", strict)
-	}
 }
 
-// TestLoadLenientTrimsTornTail: a rejected run at the very end of the file
-// is the torn tail of a crashed append, not interior corruption — it is not
+// TestLoadTrimsTornTail: a rejected run at the very end of the file is the
+// torn tail of a crashed append, not interior corruption — it is not
 // counted as skipped and sits past validLen so OpenAppend trims it.
-func TestLoadLenientTrimsTornTail(t *testing.T) {
+func TestLoadTrimsTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
 	w, _ := Create(path, "m1", "fp")
 	w.Append(rec{N: 1})
@@ -195,7 +190,7 @@ func TestLoadLenientTrimsTornTail(t *testing.T) {
 		t.Fatalf("skipped = %d, want 0 (a torn tail is not interior corruption)", skipped)
 	}
 	if len(recs) != 1 || recs[0].N != 1 {
-		t.Fatalf("torn lenient replay = %v", recs)
+		t.Fatalf("torn replay = %v", recs)
 	}
 	w2, err := OpenAppend(path, validLen)
 	if err != nil {
@@ -205,7 +200,7 @@ func TestLoadLenientTrimsTornTail(t *testing.T) {
 	w2.Close()
 	recs, _, skipped = collectLenient(t, path, "m1", "fp")
 	if skipped != 0 || len(recs) != 2 || recs[1].N != 3 {
-		t.Fatalf("post-trim lenient replay = %v skipped=%d", recs, skipped)
+		t.Fatalf("post-trim replay = %v skipped=%d", recs, skipped)
 	}
 }
 
@@ -230,6 +225,110 @@ func TestSetSync(t *testing.T) {
 	recs, _, found := collect(t, path, "m1", "fp")
 	if !found || len(recs) != 3 {
 		t.Fatalf("synced journal replay = %v found=%v", recs, found)
+	}
+}
+
+// TestAppendRace: Appends from several goroutines at once each land as one
+// intact line; the replay sees every record and skips none.
+func TestAppendRace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, err := Create(path, "m1", "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, each = 8, 50
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := w.Append(rec{N: g*each + i, S: "concurrent"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, skipped := collectLenient(t, path, "m1", "fp")
+	seen := make(map[int]bool)
+	for _, r := range recs {
+		seen[r.N] = true
+	}
+	if skipped != 0 || len(recs) != writers*each || len(seen) != writers*each {
+		t.Fatalf("replayed %d records (%d distinct), skipped %d; want %d intact", len(recs), len(seen), skipped, writers*each)
+	}
+}
+
+// TestWriterNilAndClosed: a nil Writer is a switched-off journal, a closed
+// one refuses appends, and closing twice is harmless.
+func TestWriterNilAndClosed(t *testing.T) {
+	var off *Writer
+	if err := off.Append(rec{N: 1}); err != nil {
+		t.Fatalf("append to a nil Writer: %v", err)
+	}
+	if err := off.Close(); err != nil {
+		t.Fatalf("close of a nil Writer: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, err := Create(path, "m1", "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(rec{N: 1}); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("append to a closed Writer: err = %v, want os.ErrClosed", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if recs, _, _ := collect(t, path, "m1", "fp"); len(recs) != 0 {
+		t.Fatalf("refused append reached the file: %v", recs)
+	}
+}
+
+// TestRewrite: a Rewrite whose fill fails leaves the old journal byte for
+// byte; one that succeeds replaces it and appends after the new records.
+func TestRewrite(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	w, _ := Create(path, "m1", "fp")
+	w.Append(rec{N: 1})
+	w.Append(rec{N: 2})
+	w.Close()
+	before, _ := os.ReadFile(path)
+
+	boom := errors.New("boom")
+	_, err := Rewrite(path, "m1", "fp2", func(w *Writer) error {
+		w.Append(rec{N: 9})
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the fill's error", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != string(before) {
+		t.Fatalf("failed rewrite changed the journal:\n%s\nvs\n%s", after, before)
+	}
+
+	w, err = Rewrite(path, "m1", "fp2", func(w *Writer) error { return w.Append(rec{N: 3}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(rec{N: 4}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	recs, validLen, _ := collect(t, path, "m1", "fp2")
+	if len(recs) != 2 || recs[0].N != 3 || recs[1].N != 4 || validLen != fileSize(t, path) {
+		t.Fatalf("rewritten journal replays %v (validLen %d)", recs, validLen)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
 	}
 }
 

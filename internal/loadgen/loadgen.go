@@ -274,6 +274,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	f.noRetry = serve.NewClient(cfg.Addr)
 	f.noRetry.HTTP = httpc
+	f.noRetry.Retry = serve.RetryPolicy{} // a burst's 429 is its outcome
 
 	if err := WaitReady(ctx, f.client); err != nil {
 		return nil, err

@@ -88,6 +88,49 @@ func TestLoadSmoke(t *testing.T) {
 	}
 }
 
+// TestBurstDoesNotRetry: an overload burst's 429 is terminal. Against a
+// one-worker daemon with a queue of two, every 429 the daemon counts is one
+// rejection a burst client recorded; none is retried into a later
+// admission.
+func TestBurstDoesNotRetry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("burst run needs two seconds of sustained load")
+	}
+	s, err := serve.New(serve.Config{Addr: "127.0.0.1:0", Workers: 1, QueueCap: 2, SlotsPerJob: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Errorf("daemon shutdown: %v", err)
+		}
+	}()
+
+	mix, err := ParseMix("burst=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(context.Background(), Config{
+		Addr: addr, Clients: 4, Duration: 2 * time.Second, Mix: mix, Seed: 7, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range rep.Failures {
+		t.Errorf("report failure: %s", f)
+	}
+	got, want := rep.ServerDelta["submits_rejected_429"], rep.Record.Rejected429
+	if want == 0 || got != want {
+		t.Fatalf("daemon counted %d 429s, burst clients recorded %d terminal rejections; want equal and > 0", got, want)
+	}
+}
+
 // TestLoadPartitionStorm drives sustained submissions through a
 // coordinator whose two workers sit behind chaos proxies, cuts both links
 // mid-run, and heals them before the end. The run must stay clean under

@@ -48,7 +48,7 @@ func openCache(path, engine string, logf func(string, ...any)) (*cache, error) {
 	if path == "" {
 		return c, nil
 	}
-	validLen, found, skipped, err := journal.LoadLenient(path, cacheMagic, engine, func(line []byte) error {
+	validLen, found, skipped, err := journal.Load(path, cacheMagic, engine, func(line []byte) error {
 		var rec cacheRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err // skipped: corrupt record or torn tail
@@ -100,9 +100,6 @@ func (c *cache) put(key string, result []byte) error {
 		return nil
 	}
 	c.entries[key] = result
-	if c.jnl == nil {
-		return nil
-	}
 	return c.jnl.Append(cacheRecord{
 		Key:     key,
 		Created: time.Now().UTC().Format(time.RFC3339),
@@ -118,13 +115,4 @@ func (c *cache) len() int {
 }
 
 // close flushes and closes the journal.
-func (c *cache) close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.jnl == nil {
-		return nil
-	}
-	err := c.jnl.Close()
-	c.jnl = nil
-	return err
-}
+func (c *cache) close() error { return c.jnl.Close() }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"prioritystar/internal/forecast"
+	"prioritystar/internal/journal"
 	"prioritystar/internal/spec"
 	"prioritystar/internal/surrogate"
 	"prioritystar/internal/sweep"
@@ -102,7 +103,6 @@ type job struct {
 	id          string
 	fingerprint string
 	exp         *sweep.Experiment
-	specJSON    []byte // canonical spec document, journaled on accept
 	cancel      context.CancelFunc
 
 	mu      sync.Mutex
@@ -187,9 +187,9 @@ func (j *job) subscribe() <-chan statusEvent {
 type manager struct {
 	cfg     Config
 	cache   *cache
-	wal     *wal   // nil when crash recovery is disabled
-	ckptDir string // per-job sweep checkpoints; "" when WAL disabled
-	bootID  string // namespaces SSE event IDs and approx handles across restarts
+	wal     *journal.Writer // nil when crash recovery is disabled
+	ckptDir string          // per-job sweep checkpoints; "" when WAL disabled
+	bootID  string          // namespaces SSE event IDs and approx handles across restarts
 
 	mu       sync.Mutex
 	draining bool
@@ -215,7 +215,7 @@ type manager struct {
 // newManager builds the manager, re-enqueues the jobs recovered from the
 // WAL, and starts its workers. maxSeq seeds the job-ID counter past every
 // ID the WAL has ever handed out.
-func newManager(cfg Config, c *cache, w *wal, ckptDir string, recovered []walJob, maxSeq int) *manager {
+func newManager(cfg Config, c *cache, w *journal.Writer, ckptDir string, recovered []walJob, maxSeq int) *manager {
 	m := &manager{
 		cfg:     cfg,
 		cache:   c,
@@ -265,7 +265,6 @@ func (m *manager) recover(recovered []walJob) {
 			id:          wj.id,
 			fingerprint: exp.Fingerprint,
 			exp:         exp,
-			specJSON:    wj.spec,
 			attempt:     wj.attempts,
 			status: JobStatus{
 				ID:          wj.id,
@@ -394,11 +393,11 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	m.cfg.Metrics.SetMax("queue_depth_peak", float64(len(m.queue)))
 
 	// Journal the acceptance: after this line a crash cannot lose the job.
+	// Without a WAL the canonical spec is not needed, so it is not encoded.
 	if m.wal != nil {
 		canon, err := spec.Canonical(exp)
 		if err == nil {
-			j.specJSON = canon
-			err = m.wal.append(walRecord{
+			err = m.wal.Append(walRecord{
 				Op: walOpAccept, ID: j.id, Fingerprint: fp,
 				Spec: canon, Time: st.SubmittedAt,
 			})
@@ -606,7 +605,7 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 	if first {
 		m.cfg.Metrics.Add("jobs_started", 1)
 	}
-	if err := m.wal.append(walRecord{Op: walOpAttempt, ID: j.id, Attempt: j.attempt, Time: now()}); err != nil {
+	if err := m.wal.Append(walRecord{Op: walOpAttempt, ID: j.id, Attempt: j.attempt, Time: now()}); err != nil {
 		m.logf("serve: journaling attempt for %s: %v", j.id, err)
 	}
 
@@ -729,11 +728,8 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 
 // walTerminal journals a job's terminal transition.
 func (m *manager) walTerminal(j *job) {
-	if m.wal == nil {
-		return
-	}
 	st := j.snapshot()
-	if err := m.wal.append(walRecord{
+	if err := m.wal.Append(walRecord{
 		Op: st.State, ID: j.id, Attempt: st.Attempt,
 		Error: st.Error, Time: st.FinishedAt,
 	}); err != nil {

@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"time"
 
+	"prioritystar/internal/journal"
 	"prioritystar/internal/obs"
 	"prioritystar/internal/sim"
 	"prioritystar/internal/spec"
@@ -158,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: opening result cache: %w", err)
 	}
 	var (
-		w          *wal
+		w          *journal.Writer
 		ckptDir    string
 		pending    []walJob
 		maxSeq     int
@@ -285,7 +286,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if cerr := s.mgr.cache.close(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if werr := s.mgr.wal.close(); werr != nil && err == nil {
+	if werr := s.mgr.wal.Close(); werr != nil && err == nil {
 		err = werr
 	}
 	if s.http != nil {

@@ -14,19 +14,18 @@ package serve
 // recovery path.
 //
 // The WAL is compacted on every replay: terminal jobs' records are dropped
-// and the pending ones are rewritten (via a temp file + rename, so a crash
-// mid-compaction keeps the old WAL), which bounds the file to the set of
-// unfinished jobs. Appends fsync (journal.Writer.SetSync): an acknowledged
-// accept survives power loss, not just a killed process.
+// and the pending ones are rewritten (journal.Rewrite: a temp file and a
+// rename, so a crash mid-compaction keeps the old WAL), which bounds the
+// file to the set of unfinished jobs. Appends fsync
+// (journal.Writer.SetSync): an acknowledged accept survives power loss,
+// not just a killed process.
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"prioritystar/internal/journal"
 )
@@ -61,38 +60,6 @@ func walTerminalOp(op string) bool {
 	return false
 }
 
-// wal serializes appends from the submit path and every worker.
-type wal struct {
-	mu sync.Mutex
-	w  *journal.Writer
-}
-
-func (w *wal) append(rec walRecord) error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.w == nil {
-		return nil
-	}
-	return w.w.Append(rec)
-}
-
-func (w *wal) close() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.w == nil {
-		return nil
-	}
-	err := w.w.Close()
-	w.w = nil
-	return err
-}
-
 // walJob is a job reconstructed from the WAL that never reached a terminal
 // record — the unit of crash recovery.
 type walJob struct {
@@ -102,20 +69,20 @@ type walJob struct {
 	attempts int // attempts started before the crash
 }
 
-// openWAL replays the WAL at path (tolerating interior corruption and a
-// torn tail), compacts it down to its pending jobs, and returns an
+// openWAL replays the WAL at path (skipping interior corruption, trimming
+// a torn tail), compacts it down to its pending jobs, and returns an
 // fsync-on-append writer positioned after the compacted records. pending
 // holds the unfinished jobs in acceptance order; maxSeq is the largest
 // numeric job-ID suffix seen, so freshly submitted jobs never collide with
-// recovered ones; skipped counts corrupt records dropped by the lenient
-// load (surfaced as the journal_records_skipped metric). A WAL written by a
+// recovered ones; skipped counts corrupt records dropped by the replay
+// (surfaced as the journal_records_skipped metric). A WAL written by a
 // different engine version is discarded: its fingerprints no longer name
 // what this engine would compute.
-func openWAL(path, engine string, logf func(string, ...any)) (w *wal, pending []walJob, maxSeq, skipped int, err error) {
+func openWAL(path, engine string, logf func(string, ...any)) (w *journal.Writer, pending []walJob, maxSeq, skipped int, err error) {
 	byID := make(map[string]*walJob)
 	var order []string
 	terminal := make(map[string]bool)
-	_, found, skipped, err := journal.LoadLenient(path, walMagic, engine, func(line []byte) error {
+	_, _, skipped, err = journal.Load(path, walMagic, engine, func(line []byte) error {
 		var rec walRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return err
@@ -149,7 +116,6 @@ func openWAL(path, engine string, logf func(string, ...any)) (w *wal, pending []
 		if logf != nil {
 			logf("serve: job WAL %s was written by engine %q; starting fresh", path, fpErr.Got)
 		}
-		found = false
 		err = nil
 	}
 	if err != nil {
@@ -158,46 +124,29 @@ func openWAL(path, engine string, logf func(string, ...any)) (w *wal, pending []
 	if skipped > 0 && logf != nil {
 		logf("serve: job WAL %s: skipped %d corrupt record(s)", path, skipped)
 	}
-	if found {
-		for _, id := range order {
-			if !terminal[id] {
-				pending = append(pending, *byID[id])
-			}
+	for _, id := range order {
+		if !terminal[id] {
+			pending = append(pending, *byID[id])
 		}
 	}
 
-	// Compact: rewrite just the pending accepts (attempt counts folded in)
-	// through a temp file so a crash mid-compaction keeps the old WAL.
-	tmp := path + ".tmp"
-	jw, err := journal.Create(tmp, walMagic, engine)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	for _, pj := range pending {
-		if err := jw.Append(walRecord{
-			Op: walOpAccept, ID: pj.id, Fingerprint: pj.fp,
-			Spec: pj.spec, Attempt: pj.attempts,
-		}); err != nil {
-			jw.Close()
-			return nil, nil, 0, 0, err
+	// Compact: rewrite just the pending accepts, attempt counts folded in.
+	w, err = journal.Rewrite(path, walMagic, engine, func(jw *journal.Writer) error {
+		for _, pj := range pending {
+			if err := jw.Append(walRecord{
+				Op: walOpAccept, ID: pj.id, Fingerprint: pj.fp,
+				Spec: pj.spec, Attempt: pj.attempts,
+			}); err != nil {
+				return err
+			}
 		}
-	}
-	if err := jw.Close(); err != nil {
-		return nil, nil, 0, 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("serve: compacting job WAL: %w", err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	jw, err = journal.OpenAppend(path, fi.Size())
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	jw.SetSync(true) // accepted jobs are promises: survive power loss
-	return &wal{w: jw}, pending, maxSeq, skipped, nil
+	w.SetSync(true) // accepted jobs are promises: survive power loss
+	return w, pending, maxSeq, skipped, nil
 }
 
 // jobSeq extracts the numeric suffix of a "j%06d" job ID.

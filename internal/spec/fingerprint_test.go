@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prioritystar/internal/sweep"
+	"prioritystar/internal/traffic"
 )
 
 // base returns a representative experiment built from a JSON spec.
@@ -93,6 +94,7 @@ func TestFingerprintSeparatesDifferentContent(t *testing.T) {
 		"faults":     func(x *sweep.Experiment) { x.Faults = nil },
 		"guard":      func(x *sweep.Experiment) { x.Guard.DivergeBacklog++ },
 		"scheme":     func(x *sweep.Experiment) { x.Schemes = x.Schemes[:1] },
+		"length":     func(x *sweep.Experiment) { x.Length = traffic.FixedLength(2) }, // geom:2, same mean
 	}
 	for name, mutate := range mutations {
 		m := base(t, specA)

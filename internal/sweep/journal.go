@@ -2,8 +2,8 @@ package sweep
 
 // Crash-resilient sweep checkpoints, built on the shared JSONL journal
 // machinery in internal/journal: a header line carrying the experiment's
-// fingerprint, then one line per completed replication with every per-rep
-// value the aggregation step consumes. An execution with Checkpoint set
+// canonical fingerprint, then one line per completed replication with every
+// per-rep value the aggregation step consumes. An execution with Checkpoint set
 // appends each replication as it folds (flushed per line, so a killed
 // process loses at most the line being written); one with Resume set
 // replays the journal first and only runs the replications it does not
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 
 	journalpkg "prioritystar/internal/journal"
 )
@@ -84,45 +83,24 @@ type RepRecord struct {
 // Key returns the record's (scheme, rho, rep) index key.
 func (r RepRecord) Key() RepKey { return RepKey{r.Scheme, r.Rho, r.Rep} }
 
-// fingerprint identifies the experiment a journal belongs to: resuming with
-// a different grid, scheme list, seed, or fault schedule must error rather
-// than silently mix results. When the caller stamped a canonical fingerprint
-// on the experiment (spec.Fingerprint does; starsim and the daemon stamp
-// it), that is used verbatim; otherwise a legacy descriptor string is
-// derived from the fields.
-func (e *Experiment) fingerprint() string {
-	if e.Fingerprint != "" {
-		return e.Fingerprint
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "id=%s dims=%v rhos=%v frac=%g reps=%d seed=%d w=%d m=%d d=%d mb=%d len=%g model=%d",
-		e.ID, e.Dims, e.Rhos, e.BroadcastFrac, e.Reps, e.BaseSeed,
-		e.Warmup, e.Measure, e.Drain, e.MaxBacklog, e.Length.Mean(), e.Model)
-	for _, s := range e.Schemes {
-		fmt.Fprintf(&b, " scheme=%s/%d/%d/%t", s.Name, s.Discipline, s.Rotation, s.SeparateBalance)
-	}
-	fmt.Fprintf(&b, " faults=%q guard=%+v", e.Faults.String(), e.Guard)
-	return b.String()
-}
-
-// JournalFingerprint is the identity a checkpoint journal for this
-// experiment is keyed by: the stamped canonical fingerprint when present,
-// else a legacy descriptor derived from the fields.
-func (e *Experiment) JournalFingerprint() string { return e.fingerprint() }
-
 // openCheckpoint is the one place a checkpoint journal is replayed or
-// created. With resume set, an existing journal's header must carry
-// fingerprint; its intact records are returned and it is reopened for
-// appending past its intact prefix, so a torn final line from a crash
-// cannot swallow the first record written after it. Without resume, or
-// when no journal exists yet, a fresh one is created.
+// created; its header is the experiment's canonical fingerprint, which must
+// be stamped. With resume set, an existing journal's header must carry
+// fingerprint; its intact records are returned, a corrupt one is skipped,
+// and it is reopened for appending past its last intact record, so a torn
+// final line from a crash cannot swallow the first record written after
+// it. Without resume, or when no journal exists yet, a fresh one is
+// created.
 func openCheckpoint(path, fingerprint string, resume bool) (map[RepKey]RepRecord, *journalpkg.Writer, error) {
+	if fingerprint == "" {
+		return nil, nil, errors.New("sweep: a checkpoint needs the experiment's Fingerprint (spec.Stamp sets it)")
+	}
 	records := make(map[RepKey]RepRecord)
 	if resume {
-		validLen, found, err := journalpkg.Load(path, journalMagic, fingerprint, func(line []byte) error {
+		validLen, found, _, err := journalpkg.Load(path, journalMagic, fingerprint, func(line []byte) error {
 			var rec RepRecord
 			if err := json.Unmarshal(line, &rec); err != nil {
-				return err // torn tail from a crash: keep what we have
+				return err
 			}
 			records[rec.Key()] = rec
 			return nil

@@ -117,10 +117,66 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	}
 	other := tinyExperiment()
 	other.BaseSeed++ // different experiment
+	other.Fingerprint = "tiny-seed100"
 	other.Checkpoint = path
 	other.Resume = true
 	if _, err := other.Run(); err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Errorf("foreign journal accepted (err = %v)", err)
+	}
+}
+
+// TestResumeSkipsCorruptInteriorRecord: one corrupt record in the middle of
+// a finished checkpoint costs that replication alone — every intact record
+// around it, before and after, is resumed, and the table matches an
+// uninterrupted sweep's.
+func TestResumeSkipsCorruptInteriorRecord(t *testing.T) {
+	ref, err := tinyExperiment().Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := tinyExperiment()
+	full.Checkpoint = filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if _, err := full.Run(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(full.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	lines[2] = "{{{ flipped bits\n" // the second of the 8 records
+	if err := os.WriteFile(full.Checkpoint, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := tinyExperiment()
+	resumed.Checkpoint = full.Checkpoint
+	resumed.Resume = true
+	ran := 0
+	resumed.Progress = func(done, total int) { ran = total }
+	res, err := resumed.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ResumedReps != 7 || ran != 1 {
+		t.Errorf("resumed %d and re-ran %d replications, want 7 and 1", res.ResumedReps, ran)
+	}
+	if got, want := tableFingerprint(res), tableFingerprint(ref); got != want {
+		t.Errorf("resume past a corrupt record differs from uninterrupted:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestCheckpointNeedsFingerprint: a checkpoint's header is the experiment's
+// canonical fingerprint, so an unstamped experiment cannot write one.
+func TestCheckpointNeedsFingerprint(t *testing.T) {
+	e := tinyExperiment()
+	e.Fingerprint = ""
+	e.Checkpoint = filepath.Join(t.TempDir(), "ckpt.jsonl")
+	if _, err := e.Run(); err == nil || !strings.Contains(err.Error(), "Fingerprint") {
+		t.Errorf("unstamped checkpoint accepted (err = %v)", err)
+	}
+	if _, err := os.Stat(e.Checkpoint); !os.IsNotExist(err) {
+		t.Errorf("checkpoint written without a fingerprint: %v", err)
 	}
 }
 
@@ -295,13 +351,13 @@ func TestExecuteDispatchesHeaviestFirst(t *testing.T) {
 	}
 
 	// A journal holding reps 0..6 of cell (0,1), as a crash might leave it.
-	records, jnl, err := openCheckpoint(ref.Checkpoint, ref.fingerprint(), true)
+	records, jnl, err := openCheckpoint(ref.Checkpoint, ref.Fingerprint, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	jnl.Close()
 	partial := filepath.Join(dir, "partial.jsonl")
-	if _, jnl, err = openCheckpoint(partial, ref.fingerprint(), false); err != nil {
+	if _, jnl, err = openCheckpoint(partial, ref.Fingerprint, false); err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 7; rep++ {
@@ -443,7 +499,7 @@ func TestExperimentRecordsPerPointErrors(t *testing.T) {
 	// failure by rebuilding points from records via a resumed journal.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "err.jsonl")
-	_, j, err := openCheckpoint(path, e2.fingerprint(), false)
+	_, j, err := openCheckpoint(path, e2.Fingerprint, false)
 	if err != nil {
 		t.Fatal(err)
 	}

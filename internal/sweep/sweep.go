@@ -126,9 +126,8 @@ type Experiment struct {
 	// Fingerprint, when non-empty, is the canonical identity of this
 	// experiment: it names the checkpoint journal's header and the daemon's
 	// result-cache key. spec.Fingerprint computes the canonical value (a
-	// hash over the key-order-stable JSON spec plus the engine version);
-	// when empty a legacy descriptor string derived from the fields is used
-	// for the journal header.
+	// hash over the key-order-stable JSON spec plus the engine version),
+	// and spec.Stamp sets it; Execute refuses a Checkpoint without it.
 	Fingerprint string
 
 	// Checkpoint, when non-empty, journals each completed replication to
@@ -562,7 +561,7 @@ func (e *Experiment) Execute(parallel int, newExec func(pool int) Executor) (*Re
 	var jnl *journalpkg.Writer
 	if e.Checkpoint != "" {
 		var err error
-		if g.records, jnl, err = openCheckpoint(e.Checkpoint, e.fingerprint(), e.Resume); err != nil {
+		if g.records, jnl, err = openCheckpoint(e.Checkpoint, e.Fingerprint, e.Resume); err != nil {
 			return nil, err
 		}
 		g.jnl = jnl
@@ -573,9 +572,7 @@ func (e *Experiment) Execute(parallel int, newExec func(pool int) Executor) (*Re
 		return ok
 	})
 	if err != nil {
-		if jnl != nil {
-			jnl.Close()
-		}
+		jnl.Close()
 		return nil, err
 	}
 	for _, sj := range subjobs {
@@ -609,10 +606,8 @@ func (e *Experiment) Execute(parallel int, newExec func(pool int) Executor) (*Re
 	g.closed = true
 	err, folded := g.err, g.reps
 	g.mu.Unlock()
-	if jnl != nil {
-		if cerr := jnl.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("sweep: closing checkpoint: %w", cerr)
-		}
+	if cerr := jnl.Close(); cerr != nil && err == nil {
+		err = fmt.Errorf("sweep: closing checkpoint: %w", cerr)
 	}
 	if err == nil {
 		err = parent.Err()
@@ -660,11 +655,9 @@ func (g *Gather) Deliver(sj Subjob, recs []RepRecord) (bool, error) {
 	}
 	for _, rec := range recs {
 		g.records[rec.Key()] = rec
-		if g.jnl != nil {
-			if err := g.jnl.Append(rec); err != nil {
-				g.jnl = nil
-				g.failLocked(fmt.Errorf("sweep: writing checkpoint: %w", err))
-			}
+		if err := g.jnl.Append(rec); err != nil {
+			g.jnl = nil
+			g.failLocked(fmt.Errorf("sweep: writing checkpoint: %w", err))
 		}
 		g.reps++
 		if g.e.Progress != nil {

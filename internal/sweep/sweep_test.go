@@ -20,6 +20,7 @@ func tinyExperiment() *Experiment {
 		Schemes: []SchemeSpec{PrioritySTARSpec, FCFSDirectSpec},
 		Model:   balance.ExactDistance,
 		Warmup:  500, Measure: 2500, Drain: 1000, Reps: 2, BaseSeed: 99,
+		Fingerprint: "tiny", // checkpoints need one; spec.Stamp would be an import cycle
 	}
 }
 
