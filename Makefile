@@ -27,9 +27,10 @@ help:
 	@echo "  vet           go vet ./..."
 	@echo "  bench-vet     go vet the layerbench module (its own go.mod, so"
 	@echo "                the root build and vet never compile it)"
-	@echo "  bench-check   layerbench's metric-schema and tamper tests, and a"
-	@echo "                1s figures run whose digests must match the ones"
-	@echo "                recorded for sim.EngineVersion (correct: true)"
+	@echo "  bench-check   layerbench's metric-schema and tamper tests, a 1s"
+	@echo "                figures run whose digests must match the ones"
+	@echo "                recorded for sim.EngineVersion, and a 2s fleet run"
+	@echo "                whose jobs must equal single-node runs (correct: true)"
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
 	@echo "  chaos         chaos suites under -race: WAL replay, torn journals,"
@@ -69,9 +70,12 @@ race:
 #   concurrent appends, WAL replay and quarantine, client retry/backoff;
 # - cluster: the in-process fleet fabric (byte-identical scatter/gather,
 #   lease expiry + duplicate discard, hung-worker re-dispatch, lease
-#   adoption) and its network chaos matrix (partition storm -> local
+#   adoption, the worker's sub-job cache window, cancelled calls freeing
+#   their worker) and its network chaos matrix (partition storm -> local
 #   degradation, truncated/corrupt responses retried not folded, hedged
-#   dispatch discarding its loser, jittered rejoin backoff);
+#   dispatch discarding a losing primary and cancelling a losing hedge
+#   copy unless it is a half-open probe, a cancelled probe giving its slot
+#   back, jittered rejoin backoff);
 # - chaosnet: the fault transport and proxy themselves;
 # - starsimd: the subprocess suites that SIGKILL a real daemon mid-job and
 #   tear its journals, SIGKILL workers and the coordinator mid-sweep, and
@@ -205,19 +209,25 @@ bench-vet:
 	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
 
 # The benchmark's own correctness checks, offline like bench-vet: its
-# metric-schema and tampered-figure tests, then a 1-second figures run,
-# which still simulates all three presets and checks them against the
-# digests recorded for sim.EngineVersion; its last line must read
-# "correct":true. An engine change that moves one bit fails here. The
-# timing-based layerbench tests stay out: they are too noisy to gate on.
+# metric-schema and tampered-figure tests, then two runs whose last lines
+# must read "correct":true. A 1-second figures run still simulates all
+# three presets and checks them against the digests recorded for
+# sim.EngineVersion, so an engine change that moves one bit fails here. A
+# 2-second fleet run pushes whole jobs through a coordinator and two
+# workers, with hedging armed after its warm-up job, and checks every job
+# byte-identical to a single-node run and every replication folded exactly
+# once. The timing-based layerbench tests stay out: they are too noisy to
+# gate on.
 bench-check:
 	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) test -count=1 \
 		-run 'TestBenchmarkJSONMatchesMetrics|TestTamperedFigureCountsAsFailed' ./...
-	@last=$$(bash layerbench/run.sh --workload figures --seed 1 --seconds 1 | tail -n 1); \
-	case "$$last" in \
-	*'"correct":true'*) echo "bench-check: ok" ;; \
-	*) echo "bench-check: figures run is not correct:"; echo "$$last"; exit 1 ;; \
-	esac
+	@for run in "figures --seconds 1" "fleet --seconds 2"; do \
+		last=$$(bash layerbench/run.sh --workload $$run --seed 1 | tail -n 1); \
+		case "$$last" in \
+		*'"correct":true'*) ;; \
+		*) echo "bench-check: $$run run is not correct:"; echo "$$last"; exit 1 ;; \
+		esac; \
+	done; echo "bench-check: ok"
 
 test:
 	$(GO) test ./...

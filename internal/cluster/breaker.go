@@ -16,6 +16,7 @@ package cluster
 //	open ──(cooldown elapsed)──▶ half-open, one probe admitted
 //	half-open ──(probe succeeds)──▶ closed
 //	half-open ──(probe fails)──▶ open (cooldown restarts)
+//	half-open ──(probe cancelled)──▶ half-open, one probe admitted again
 //
 // Health scoring is consecutive-failure plus latency-EWMA driven: the
 // breaker keeps an EWMA of successful call latencies, and a success that is
@@ -121,6 +122,14 @@ func (b *breaker) beginProbe() {
 	b.mu.Lock()
 	b.state = breakerHalfOpen
 	b.probing = true
+	b.mu.Unlock()
+}
+
+// releaseProbe frees the probe slot of a call cancelled before it answered:
+// the circuit keeps its state, and a half-open gate admits a probe again.
+func (b *breaker) releaseProbe() {
+	b.mu.Lock()
+	b.probing = false
 	b.mu.Unlock()
 }
 

@@ -9,6 +9,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"sync/atomic"
@@ -305,6 +306,275 @@ func TestHedgedDispatchDiscardsLoser(t *testing.T) {
 	if got, want := metrics.Counter("cluster_reps_folded"), metrics.Counter("cluster_reps_expected"); got != want {
 		t.Fatalf("double-fold: folded %d reps, expected %d", got, want)
 	}
+}
+
+// hedgeSpec is the one-sub-job experiment the hedge-cancel tests run.
+func hedgeSpec(seed int) []byte {
+	return []byte(fmt.Sprintf(`{
+		"id": "t-hedge-cancel", "dims": [4, 4], "rhos": [0.3],
+		"broadcastFrac": 1, "schemes": [{"name": "priority-star"}],
+		"warmup": 50, "measure": 300, "drain": 50, "reps": 4, "seed": %d
+	}`, seed))
+}
+
+// warmHedging runs hedgeSpec jobs until the latency ring arms hedging; no
+// warm-up job hedges.
+func warmHedging(t *testing.T, c *Coordinator) {
+	t.Helper()
+	for seed := 1; c.hedgeDelay() == 0; seed++ {
+		if seed > 4*hedgeMinSamples {
+			t.Fatal("hedge delay still zero after warm-up jobs")
+		}
+		if _, err := c.RunJob(decodeSpec(t, hedgeSpec(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runHedgeSpec runs one hedgeSpec job on the fleet and fails unless its
+// result equals a single-node run's.
+func runHedgeSpec(t *testing.T, c *Coordinator, seed int) {
+	t.Helper()
+	want, err := decodeSpec(t, hedgeSpec(seed)).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.RunJob(decodeSpec(t, hedgeSpec(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultSignature(t, res) != resultSignature(t, want) {
+		t.Fatal("fleet result diverges from single-node run")
+	}
+}
+
+// roster reads the coordinator's worker roster.
+func roster(t *testing.T, coordURL string) []WorkerInfo {
+	t.Helper()
+	ws, err := NewClient(coordURL).Workers(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ws
+}
+
+// leasesBack reports whether no worker on the roster holds a lease.
+func leasesBack(t *testing.T, coordURL string) bool {
+	for _, w := range roster(t, coordURL) {
+		if w.Leases != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// wantCounters fails the test for each counter that differs from want.
+func wantCounters(t *testing.T, m *obs.MetricSet, want map[string]int64) {
+	t.Helper()
+	for name, n := range want {
+		if got := m.Counter(name); got != n {
+			t.Errorf("%s = %d, want %d", name, got, n)
+		}
+	}
+}
+
+// openBreaker opens the breaker of the worker at addr and waits out its
+// cooldown, so the worker takes work only as a half-open probe.
+func openBreaker(t *testing.T, c *Coordinator, addr string) {
+	t.Helper()
+	c.mu.Lock()
+	for i := 0; i < c.cfg.BreakerThreshold; i++ {
+		c.breakerLocked(addr).failure(c.cfg.now())
+	}
+	c.mu.Unlock()
+	time.Sleep(2 * c.cfg.BreakerCooldown)
+	if g := probeGate(c, addr); g != gateProbe {
+		t.Fatalf("breaker gate %d after its cooldown, want a probe (%d)", g, gateProbe)
+	}
+}
+
+// probeGate reads the breaker gate of the worker at addr.
+func probeGate(c *Coordinator, addr string) gateResult {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.breakerLocked(addr).gate(c.cfg.now())
+}
+
+// TestHedgeCanceledWhenPrimaryWins: a hedge copy whose primary answers
+// first is cancelled rather than left to run to its call timeout. The
+// worker holding it sees its request end, and the cancelled call costs that
+// worker no breaker failure and folds no duplicate.
+func TestHedgeCanceledWhenPrimaryWins(t *testing.T) {
+	var armed atomic.Bool
+	var calls atomic.Int64
+	hedgeEnded := make(chan struct{})
+	wrap := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !armed.Load() {
+				h.ServeHTTP(w, r)
+				return
+			}
+			switch calls.Add(1) {
+			case 1: // the primary: slow, but it answers first
+				time.Sleep(300 * time.Millisecond)
+				h.ServeHTTP(w, r)
+			case 2: // the hedge: held until its caller lets go
+				// The server notices a hang-up only once the body is read.
+				io.Copy(io.Discard, r.Body)
+				select {
+				case <-r.Context().Done():
+					close(hedgeEnded)
+				case <-time.After(10 * time.Second):
+				}
+			default:
+				h.ServeHTTP(w, r)
+			}
+		})
+	}
+	metrics := &obs.MetricSet{}
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Heartbeat: 50 * time.Millisecond, LeaseTTL: 30 * time.Second, Metrics: metrics,
+	})
+	for i := 0; i < 2; i++ {
+		joinWorker(t, srv.URL, startWorker(t, 1, wrap), fmt.Sprintf("w%d", i))
+	}
+	waitAlive(t, srv.URL, 2)
+	warmHedging(t, c)
+
+	armed.Store(true)
+	runHedgeSpec(t, c, 100)
+	select {
+	case <-hedgeEnded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("losing hedge call still held after 5s")
+	}
+	// The cancelled call is counted once it is drained, after its lease is
+	// back; neither breaker counts a failure.
+	waitFor(t, "the cancelled hedge to drain", func() bool {
+		return leasesBack(t, srv.URL) && metrics.Counter("hedges_canceled") > 0
+	})
+	for _, w := range roster(t, srv.URL) {
+		if w.BreakerFails != 0 {
+			t.Fatalf("worker %s breaker counts %d failure(s) after a cancelled hedge", w.Name, w.BreakerFails)
+		}
+	}
+	wantCounters(t, metrics, map[string]int64{
+		"chaos_hedges_total": 1, "hedges_canceled": 1, "hedge_wins": 0,
+		"subjob_duplicates": 0, "breaker_open_total": 0,
+	})
+}
+
+// TestProbeHedgeRunsOn: a hedge that went out as its worker's half-open
+// probe is not cancelled when the primary wins, since a cancelled probe
+// tells the breaker nothing. It runs on, its success closes the worker's
+// breaker, and later jobs dispatch to the worker again.
+func TestProbeHedgeRunsOn(t *testing.T) {
+	var armed atomic.Bool
+	// delay holds a worker's first call after arming for d, then serves it.
+	delay := func(calls *atomic.Int64, d time.Duration) func(http.Handler) http.Handler {
+		return func(h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if armed.Load() && calls.Add(1) == 1 {
+					time.Sleep(d)
+				}
+				h.ServeHTTP(w, r)
+			})
+		}
+	}
+	metrics := &obs.MetricSet{}
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Heartbeat: 50 * time.Millisecond, LeaseTTL: 30 * time.Second,
+		BreakerCooldown: 100 * time.Millisecond, Metrics: metrics,
+	})
+	// a's primary answers first; b's probe answers later, but under
+	// slowFloor, so its success is no slow strike.
+	var callsA, callsB atomic.Int64
+	a := startWorker(t, 1, delay(&callsA, 150*time.Millisecond))
+	b := startWorker(t, 1, delay(&callsB, 300*time.Millisecond))
+	joinWorker(t, srv.URL, a, "a")
+	joinWorker(t, srv.URL, b, "b")
+	waitAlive(t, srv.URL, 2)
+	warmHedging(t, c)
+	openBreaker(t, c, b.addr)
+
+	armed.Store(true)
+	runHedgeSpec(t, c, 100)
+	if callsA.Load() != 1 || callsB.Load() != 1 {
+		t.Fatalf("a served %d call(s), b %d; want the primary on a and the hedge on b",
+			callsA.Load(), callsB.Load())
+	}
+	waitFor(t, "the probe's answer to fold as a duplicate", func() bool {
+		return leasesBack(t, srv.URL) && metrics.Counter("subjob_duplicates") > 0
+	})
+	for _, w := range roster(t, srv.URL) {
+		if w.Addr == b.addr && w.Breaker != "closed" {
+			t.Fatalf("b's breaker is %s after its probe succeeded, want closed", w.Breaker)
+		}
+	}
+	wantCounters(t, metrics, map[string]int64{
+		"chaos_hedges_total": 1, "hedges_canceled": 0, "hedge_wins": 0,
+		"subjob_duplicates": 1,
+	})
+
+	// b is back in the pick pool: a four-sub-job job spreads onto it.
+	for seed := 200; callsB.Load() == 1; seed++ {
+		if seed == 210 {
+			t.Fatal("b served none of 10 jobs after its probe closed its breaker")
+		}
+		if _, err := c.RunJob(decodeSpec(t, faultedSpec(seed))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCanceledProbeIsReleased: a probe call cancelled with its job gives
+// back its worker's probe slot, so the half-open breaker admits a probe
+// again instead of blocking the worker for good.
+func TestCanceledProbeIsReleased(t *testing.T) {
+	held := make(chan struct{}, 1)
+	wrap := func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body) // so the server sees the hang-up
+			held <- struct{}{}
+			select {
+			case <-r.Context().Done():
+			case <-time.After(10 * time.Second):
+			}
+		})
+	}
+	c, srv := startCoordinator(t, CoordinatorConfig{
+		Heartbeat: 50 * time.Millisecond, LeaseTTL: 30 * time.Second,
+		BreakerCooldown: 50 * time.Millisecond,
+	})
+	tw := startWorker(t, 1, wrap)
+	joinWorker(t, srv.URL, tw, "w")
+	waitAlive(t, srv.URL, 1)
+	openBreaker(t, c, tw.addr)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exp := decodeSpec(t, hedgeSpec(1))
+	exp.Context = ctx
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.RunJob(exp)
+		errc <- err
+	}()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the probe call never reached the worker")
+	}
+	if g := probeGate(c, tw.addr); g != gateBlocked {
+		t.Fatalf("gate %d with the probe in flight, want blocked (%d)", g, gateBlocked)
+	}
+	cancel()
+	if err := <-errc; err == nil {
+		t.Fatal("cancelled job returned a result")
+	}
+	waitFor(t, "the cancelled probe to give back its slot", func() bool {
+		return probeGate(c, tw.addr) == gateProbe
+	})
 }
 
 // TestCallTimeoutValidation: the sub-job call deadline, 20x the lease TTL,

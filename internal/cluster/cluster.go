@@ -30,9 +30,10 @@
 //     partitioned or trickling worker stops absorbing retry budget.
 //   - Hedged dispatch: when a sub-job call outlives the straggler quantile
 //     of observed sub-job latency, a second copy is speculatively dispatched
-//     to a different worker; whichever answers first wins the fold and the
-//     loser is discarded by the same first-terminal-write-wins rule that
-//     already handles expired-lease duplicates.
+//     to a different worker; whichever answers first wins the fold. A losing
+//     hedge is cancelled unless it is a half-open probe; a losing primary or
+//     probe runs on for its breaker and is discarded by the same
+//     first-terminal-write-wins rule that handles expired-lease duplicates.
 //   - Graceful degradation: when no live worker's breaker admits traffic
 //     (partition storm, empty roster), the coordinator runs sub-jobs locally
 //     through sweep.RunSubjob — an accepted job can never fail because the
@@ -230,7 +231,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	// Register the chaos/robustness counters at zero so harnesses (psload
 	// reconciliation, smoke scripts) can read them unconditionally.
 	for _, name := range []string{
-		"chaos_hedges_total", "hedge_wins", "breaker_open_total",
+		"chaos_hedges_total", "hedge_wins", "hedges_canceled", "breaker_open_total",
 		"subjobs_local", "cluster_reps_local",
 		"cluster_reps_folded", "cluster_reps_expected",
 		"subjob_duplicates",
@@ -375,12 +376,15 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 	}
 	c.mu.Unlock()
 	// Stable roster order for operators and tests.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j].ID < infos[j-1].ID; j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
+	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	writeJSON(w, http.StatusOK, WorkersResponse{Workers: infos})
+}
+
+// live reports whether ws heartbeated within the expiry window before now.
+func (c *Coordinator) live(ws *workerState, now time.Time) bool {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return now.Sub(ws.lastSeen) <= c.workerExpiry()
 }
 
 // aliveLocked counts workers within the heartbeat window; c.mu held.
@@ -388,11 +392,9 @@ func (c *Coordinator) aliveLocked() int {
 	now := c.cfg.now()
 	n := 0
 	for _, ws := range c.workers {
-		ws.mu.Lock()
-		if now.Sub(ws.lastSeen) <= c.workerExpiry() {
+		if c.live(ws, now) {
 			n++
 		}
-		ws.mu.Unlock()
 	}
 	return n
 }
@@ -415,7 +417,8 @@ func (c *Coordinator) breakerLocked(addr string) *breaker {
 
 // pickLocked chooses a worker among the live, breaker-admitted roster by
 // power-of-two-choices over load (reported depth + outstanding leases),
-// granting it one lease; nil when none is eligible. c.mu must be held.
+// granting it one lease, and reports whether the pick took its breaker's
+// half-open probe slot; nil when none is eligible. c.mu must be held.
 //
 // Workers with closed breakers are preferred; half-open workers are probed
 // only when no closed-breaker worker exists (a probe carries a real
@@ -424,14 +427,11 @@ func (c *Coordinator) breakerLocked(addr string) *breaker {
 // skips the worker whose attempt just failed (honored only when an
 // alternative exists) — with strict set, avoid is absolute, which is what a
 // hedge needs: a hedge to the straggler itself is not a hedge.
-func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState {
+func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) (pick *workerState, probe bool) {
 	now := c.cfg.now()
 	var closed, probes []*workerState
 	for _, ws := range c.workers {
-		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
-		ws.mu.Unlock()
-		if !alive || (strict && ws.addr == avoid) {
+		if !c.live(ws, now) || (strict && ws.addr == avoid) {
 			continue
 		}
 		switch c.breakerLocked(ws.addr).gate(now) {
@@ -441,8 +441,6 @@ func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState
 			probes = append(probes, ws)
 		}
 	}
-	var pick *workerState
-	probe := false
 	// Pin to the adopted worker when it is still eligible.
 	if prefer != "" {
 		for _, ws := range closed {
@@ -475,7 +473,7 @@ func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState
 			candidates, probe = probes, true
 		}
 		if len(candidates) == 0 {
-			return nil
+			return nil, false
 		}
 		// Two choices, keep the less loaded: exponentially better balance
 		// than one choice, no global scan contention.
@@ -493,7 +491,7 @@ func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState
 	pick.mu.Lock()
 	pick.leases++
 	pick.mu.Unlock()
-	return pick
+	return pick, probe
 }
 
 // pickWorker waits for an eligible worker (live, breaker-admitted), up to
@@ -501,30 +499,30 @@ func (c *Coordinator) pickLocked(prefer, avoid string, strict bool) *workerState
 // back to local execution. Once the coordinator is degraded, picks that
 // find no eligible worker fail fast: the first sub-job paid the grace; the
 // rest of the job drains locally without re-paying it.
-func (c *Coordinator) pickWorker(ctx context.Context, prefer, avoid string) (*workerState, error) {
+func (c *Coordinator) pickWorker(ctx context.Context, prefer, avoid string) (pick *workerState, probe bool, err error) {
 	deadline := c.cfg.now().Add(c.cfg.DegradeAfter)
 	for {
 		c.mu.Lock()
-		pick := c.pickLocked(prefer, avoid, false)
+		pick, probe = c.pickLocked(prefer, avoid, false)
 		degraded := c.degraded
 		c.mu.Unlock()
 		if pick != nil {
-			return pick, nil
+			return pick, probe, nil
 		}
 		if degraded || !c.cfg.now().Before(deadline) {
-			return nil, errNoEligible
+			return nil, false, errNoEligible
 		}
 		select {
 		case <-time.After(100 * time.Millisecond):
 		case <-ctx.Done():
-			return nil, fmt.Errorf("cluster: no live workers: %w", ctx.Err())
+			return nil, false, fmt.Errorf("cluster: no live workers: %w", ctx.Err())
 		}
 	}
 }
 
 // tryPickWorker is the non-blocking pick a hedge uses: an eligible worker
-// other than strictAvoid right now, or nil.
-func (c *Coordinator) tryPickWorker(strictAvoid string) *workerState {
+// other than strictAvoid right now, or nil, and pickLocked's probe report.
+func (c *Coordinator) tryPickWorker(strictAvoid string) (*workerState, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pickLocked("", strictAvoid, true)
@@ -561,10 +559,7 @@ func (c *Coordinator) noteSuccess(ws *workerState, took time.Duration) {
 func (c *Coordinator) peerEWMALocked(addr string, now time.Time) float64 {
 	low := 0.0
 	for _, ws := range c.workers {
-		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
-		ws.mu.Unlock()
-		if !alive || ws.addr == addr {
+		if !c.live(ws, now) || ws.addr == addr {
 			continue
 		}
 		if _, _, ms := c.breakerLocked(ws.addr).view(); ms > 0 && (low == 0 || ms < low) {
@@ -590,10 +585,7 @@ func (c *Coordinator) noteFailure(ws *workerState) {
 // least a probe. c.mu must be held.
 func (c *Coordinator) anyEligibleLocked(now time.Time) bool {
 	for _, ws := range c.workers {
-		ws.mu.Lock()
-		alive := now.Sub(ws.lastSeen) <= c.workerExpiry()
-		ws.mu.Unlock()
-		if alive && c.breakerLocked(ws.addr).gate(now) != gateBlocked {
+		if c.live(ws, now) && c.breakerLocked(ws.addr).gate(now) != gateBlocked {
 			return true
 		}
 	}
@@ -747,6 +739,7 @@ type callOutcome struct {
 	err   error
 	took  time.Duration
 	hedge bool
+	probe bool // the call holds its worker's half-open probe slot
 }
 
 // startCall posts one sub-job to a worker in the background under
@@ -754,7 +747,7 @@ type callOutcome struct {
 // context resources (and aborts the call if still in flight); a lease
 // expiry deliberately does not call it, so a slow-but-alive worker still
 // completes the sub-job and folds via duplicate-discard.
-func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key string, ws *workerState, hedge bool, ch chan<- callOutcome) context.CancelFunc {
+func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key string, ws *workerState, hedge, probe bool, ch chan<- callOutcome) context.CancelFunc {
 	callCtx, cancel := context.WithTimeout(context.Background(), c.callTimeout())
 	go func() {
 		start := time.Now()
@@ -762,7 +755,7 @@ func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key
 		err := postJSON(callCtx, c.hc, baseURL(ws.addr)+"/v1/cluster/subjob", SubjobRequest{
 			Fingerprint: fp, Spec: specJSON, Key: key, Subjob: sj,
 		}, &resp)
-		ch <- callOutcome{ws: ws, resp: resp, err: err, took: time.Since(start), hedge: hedge}
+		ch <- callOutcome{ws: ws, resp: resp, err: err, took: time.Since(start), hedge: hedge, probe: probe}
 	}()
 	return cancel
 }
@@ -773,17 +766,16 @@ func (c *Coordinator) startCall(fp string, specJSON []byte, sj sweep.Subjob, key
 // duplicate-discard, and breaker accounting still happens — a partitioned
 // worker's eventual timeout must open its breaker even when the sub-job
 // already completed elsewhere. abort cancels the calls up front (job
-// teardown); otherwise they run to their own callTimeout.
+// teardown, or a primary that beat its hedge copy); otherwise they run to
+// their own callTimeout. A call that ends cancelled is no worker's fault:
+// it only gives back the half-open probe slot it held.
 func (c *Coordinator) drainCalls(j *fleetJob, sj sweep.Subjob, key string, ch <-chan callOutcome, pending int, cancels []context.CancelFunc, abort bool) {
-	if abort {
+	if abort || pending <= 0 {
 		for _, cancel := range cancels {
 			cancel()
 		}
 	}
 	if pending <= 0 {
-		for _, cancel := range cancels {
-			cancel()
-		}
 		return
 	}
 	go func() {
@@ -797,7 +789,14 @@ func (c *Coordinator) drainCalls(j *fleetJob, sj sweep.Subjob, key string, ch <-
 					c.cfg.Metrics.Add("hedge_wins", 1)
 				}
 			case errors.Is(res.err, context.Canceled):
-				// our own teardown, not the worker's fault
+				if res.probe {
+					c.mu.Lock()
+					c.breakerLocked(res.ws.addr).releaseProbe()
+					c.mu.Unlock()
+				}
+				if res.hedge {
+					c.cfg.Metrics.Add("hedges_canceled", 1)
+				}
 			default:
 				c.noteFailure(res.ws)
 			}
@@ -824,7 +823,7 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep
 		if j.g.Folded(sj) {
 			return nil // a late delivery from an expired lease beat us to it
 		}
-		ws, err := c.pickWorker(ctx, prefer, avoid)
+		ws, probe, err := c.pickWorker(ctx, prefer, avoid)
 		prefer = ""
 		if errors.Is(err, errNoEligible) {
 			return c.runLocal(ctx, j, sj, key)
@@ -836,8 +835,9 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep
 		c.cfg.Metrics.Add("subjobs_dispatched", 1)
 
 		resCh := make(chan callOutcome, 2)
-		cancels := []context.CancelFunc{c.startCall(j.fp, j.spec, sj, key, ws, false, resCh)}
+		cancels := []context.CancelFunc{c.startCall(j.fp, j.spec, sj, key, ws, false, probe, resCh)}
 		pending := 1
+		hedgeProbe := false // the hedge copy holds its worker's probe slot
 		var hedgeTimer *time.Timer
 		var hedgeC <-chan time.Time
 		if d := c.hedgeDelay(); d > 0 {
@@ -866,7 +866,10 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep
 							c.cfg.Metrics.Add("hedge_wins", 1)
 						}
 						stopTimers()
-						c.drainCalls(j, sj, key, resCh, pending, cancels, false)
+						// Abort the losing hedge copy unless it is a probe:
+						// that runs on to settle its worker's breaker, as a
+						// losing primary runs on for its own.
+						c.drainCalls(j, sj, key, resCh, pending, cancels, !res.hedge && !hedgeProbe)
 						return nil
 					}
 					// Decodable but wrong record set: a corrupt response
@@ -887,14 +890,15 @@ func (c *Coordinator) superviseSubjob(ctx context.Context, j *fleetJob, sj sweep
 
 			case <-hedgeC:
 				hedgeC = nil
-				hws := c.tryPickWorker(ws.addr)
+				var hws *workerState
+				hws, hedgeProbe = c.tryPickWorker(ws.addr)
 				if hws == nil {
 					continue // nobody to hedge to; the lease still guards us
 				}
 				c.cfg.Metrics.Add("chaos_hedges_total", 1)
 				c.journalLease(fleetRecord{Op: fleetOpGrant, FP: j.fp, Key: key, Addr: hws.addr, Attempt: attempt})
 				c.logf("cluster: hedging sub-job %s to %s (straggler on %s)", key, hws.addr, ws.addr)
-				cancels = append(cancels, c.startCall(j.fp, j.spec, sj, key, hws, true, resCh))
+				cancels = append(cancels, c.startCall(j.fp, j.spec, sj, key, hws, true, hedgeProbe, resCh))
 				pending++
 
 			case <-lease.C:

@@ -6,12 +6,12 @@ package cluster
 // restarted coordinator no longer knows the ID).
 //
 // The executor keeps a content-addressed sub-job cache keyed by
-// (experiment fingerprint, sub-job key): a re-dispatched sub-job — lease
-// expired, coordinator restarted, or an overlapping sweep from another
-// client — is answered from memory instead of re-simulated. Together with
-// the coordinator's first-terminal-write-wins gather this is what makes
-// re-dispatch safe to do eagerly: the cost of a spurious duplicate is one
-// map lookup, not a re-run.
+// (experiment fingerprint, sub-job key), a window of the last sub-jobs it
+// completed: a re-dispatched sub-job — a retry, a re-run, or a restarted
+// coordinator's re-adopted lease — is answered from memory instead of
+// re-simulated. Together with the coordinator's first-terminal-write-wins
+// gather this is what makes re-dispatch safe to do eagerly: the cost of a
+// spurious duplicate is one map lookup, not a re-run.
 
 import (
 	"context"
@@ -47,6 +47,11 @@ type WorkerConfig struct {
 	engine string
 }
 
+// subjobCacheCap bounds the sub-job cache. It need only answer re-asks for
+// sub-jobs finished moments ago; a restarted coordinator re-adopts at most
+// maxInflight per job, so 256 covers 16 concurrent jobs' in-flight sets.
+const subjobCacheCap = 256
+
 // Worker executes sub-jobs on behalf of a coordinator.
 type Worker struct {
 	cfg   WorkerConfig
@@ -55,6 +60,8 @@ type Worker struct {
 
 	mu    sync.Mutex
 	cache map[string][]sweep.RepRecord // leaseKey(fp, subjob key) -> records
+	order [subjobCacheCap]string       // cache keys in insertion order, a ring
+	next  int                          // the ring slot the next key takes
 }
 
 // NewWorker builds a sub-job executor.
@@ -71,7 +78,7 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	return &Worker{
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.Slots),
-		cache: make(map[string][]sweep.RepRecord),
+		cache: make(map[string][]sweep.RepRecord, subjobCacheCap),
 	}
 }
 
@@ -93,6 +100,20 @@ func (w *Worker) cachedRecords(k string) ([]sweep.RepRecord, bool) {
 	defer w.mu.Unlock()
 	recs, ok := w.cache[k]
 	return recs, ok
+}
+
+// store caches a sub-job's records, evicting the oldest entry once the
+// window is full; a hit does not refresh an entry.
+func (w *Worker) store(k string, recs []sweep.RepRecord) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if _, ok := w.cache[k]; ok {
+		return // an identical run finished first
+	}
+	delete(w.cache, w.order[w.next])
+	w.order[w.next] = k
+	w.next = (w.next + 1) % subjobCacheCap
+	w.cache[k] = recs
 }
 
 func (w *Worker) handleSubjob(rw http.ResponseWriter, r *http.Request) {
@@ -164,9 +185,7 @@ func (w *Worker) handleSubjob(rw http.ResponseWriter, r *http.Request) {
 		writeJSON(rw, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
-	w.mu.Lock()
-	w.cache[ck] = recs
-	w.mu.Unlock()
+	w.store(ck, recs)
 	w.cfg.Metrics.Add("cluster_reps_simulated", int64(len(recs)))
 	w.cfg.Metrics.Add("subjobs_served", 1)
 	writeJSON(rw, http.StatusOK, SubjobResponse{Records: recs})

@@ -8,9 +8,15 @@ package serve
 import (
 	"context"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"prioritystar/internal/spec"
+	"prioritystar/internal/stats"
+	"prioritystar/internal/surrogate"
+	"prioritystar/internal/sweep"
 )
 
 // famSpec is a sweep in a fixed family; rhos and extra fields vary per
@@ -213,6 +219,51 @@ func TestApproxIndexWarmsFromCacheJournal(t *testing.T) {
 	}
 	if got := m.Counter("surrogate_hits"); got != 1 {
 		t.Errorf("surrogate_hits = %d, want 1", got)
+	}
+}
+
+// TestIndexFeedsAgree: the surrogate index holds the same anchors and
+// counts the same results whether a result reaches it live (AddExact, as an
+// exact job finishes) or as its encoded document from the cache at boot
+// (AddResult), so a restart cannot change which cells anchor answers. A
+// cell whose five delay means are NaN anchors nothing, and a result with
+// only such cells does not count.
+func TestIndexFeedsAgree(t *testing.T) {
+	exp, err := spec.Decode(famSpec("0.2, 0.4, 0.6", ""))
+	if err == nil {
+		err = spec.Stamp(exp)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &res.Series[0].Points[1]
+	for _, sum := range []*stats.Summary{&p.Reception, &p.Broadcast, &p.Unicast, &p.HighWait, &p.LowWait} {
+		*sum = stats.Summary{}
+		for rep := 0; rep < exp.Reps; rep++ {
+			sum.AddRep(math.NaN())
+		}
+	}
+	nanOnly := *res
+	nanOnly.Series = []sweep.Series{{Scheme: res.Series[0].Scheme, Points: res.Series[0].Points[1:2]}}
+
+	live, boot := surrogate.NewIndex(), surrogate.NewIndex()
+	for _, r := range []*sweep.Result{res, &nanOnly} {
+		live.AddExact(r)
+		doc, err := encodeResult(exp.Fingerprint, "test-engine", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boot.AddResult(doc) // the NaN-only document is refused
+	}
+	if live.Anchors() != 2 || boot.Anchors() != 2 {
+		t.Errorf("anchors: live %d, boot %d; want 2 each (the NaN cell skipped)", live.Anchors(), boot.Anchors())
+	}
+	if live.Results() != 1 || boot.Results() != 1 {
+		t.Errorf("results: live %d, boot %d; want 1 each", live.Results(), boot.Results())
 	}
 }
 

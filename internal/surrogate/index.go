@@ -4,8 +4,8 @@ package surrogate
 // keyed by experiment family and scheme, as sorted per-rho anchors. The
 // index is fed from two directions — live sweep results as jobs finish
 // (AddExact) and the cache journal's raw result documents at daemon start
-// (AddResult) — and read by the evaluator, which interpolates residuals
-// between bracketing anchors.
+// (AddResult), both through one anchor rule (add) — and read by the
+// evaluator, which interpolates residuals between bracketing anchors.
 //
 // A family is everything about an experiment except its rho grid (and the
 // label/serving fields that never affect results): two cached results
@@ -134,6 +134,23 @@ func (ix *Index) insert(family, scheme string, a anchor) {
 	ix.anchors++
 }
 
+// add is the one anchor rule both feeds apply: a cell anchors
+// interpolation only with a finite rho and at least one finite metric. It
+// reports whether a usable anchor was offered; a repeat of an indexed rho
+// counts, though insert keeps the first. ix.mu must be held.
+func (ix *Index) add(family, scheme string, a anchor) bool {
+	if math.IsNaN(a.rho) || math.IsInf(a.rho, 0) {
+		return false
+	}
+	for _, v := range a.val {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			ix.insert(family, scheme, a)
+			return true
+		}
+	}
+	return false
+}
+
 // lookup returns the anchors for (family, scheme), sorted by rho.
 func (ix *Index) lookup(family, scheme string) []anchor {
 	ix.mu.RLock()
@@ -141,8 +158,11 @@ func (ix *Index) lookup(family, scheme string) []anchor {
 	return ix.families[family][scheme]
 }
 
-// AddExact indexes a completed sweep result. Cells with failed or diverged
-// replications are skipped: their aggregates are not trustworthy anchors.
+// AddExact indexes a completed sweep result under the same rule as
+// AddResult, so an index rebuilt from the cache at boot holds what the live
+// one did. Cells with failed or diverged replications are skipped: their
+// aggregates are not trustworthy anchors. The result counts only when it
+// anchored a cell.
 func (ix *Index) AddExact(res *sweep.Result) {
 	if res == nil || res.Exp == nil {
 		return
@@ -150,7 +170,7 @@ func (ix *Index) AddExact(res *sweep.Result) {
 	family := FamilyKey(res.Exp)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.results++
+	added := false
 	for _, s := range res.Series {
 		for _, p := range s.Points {
 			if p.FailedReps > 0 || p.DivergedReps > 0 {
@@ -165,8 +185,11 @@ func (ix *Index) AddExact(res *sweep.Result) {
 				a.val[m] = sum.Mean()
 				a.ci[m] = sum.HalfWidth95()
 			}
-			ix.insert(family, s.Scheme.Name, a)
+			added = ix.add(family, s.Scheme.Name, a) || added
 		}
+	}
+	if added {
+		ix.results++
 	}
 }
 
@@ -229,7 +252,7 @@ func (ix *Index) AddResult(raw []byte) error {
 		return fmt.Errorf("surrogate: result document spec: %w", err)
 	}
 	family := FamilyKey(exp)
-	added := 0
+	added := false
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	for _, s := range doc.Series {
@@ -237,29 +260,15 @@ func (ix *Index) AddResult(raw []byte) error {
 			if p.FailedReps > 0 || p.DivergedReps > 0 {
 				continue
 			}
-			if math.IsNaN(p.Rho) || math.IsInf(p.Rho, 0) {
-				continue
-			}
 			a := anchor{
 				rho: p.Rho,
 				val: values{fv(p.Reception), fv(p.Broadcast), fv(p.Unicast), fv(p.HighWait), fv(p.LowWait)},
 				ci:  values{fv(p.ReceptionCI), fv(p.BroadcastCI), fv(p.UnicastCI), fv(p.HighWaitCI), fv(p.LowWaitCI)},
 			}
-			finite := false
-			for _, v := range a.val {
-				if !math.IsNaN(v) && !math.IsInf(v, 0) {
-					finite = true
-					break
-				}
-			}
-			if !finite {
-				continue
-			}
-			ix.insert(family, s.Scheme, a)
-			added++
+			added = ix.add(family, s.Scheme, a) || added
 		}
 	}
-	if added == 0 {
+	if !added {
 		return errors.New("surrogate: result document carries no usable anchors")
 	}
 	ix.results++
