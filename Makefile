@@ -29,8 +29,10 @@ help:
 	@echo "                the root build and vet never compile it)"
 	@echo "  bench-check   layerbench's metric-schema and tamper tests, a 1s"
 	@echo "                figures run whose digests must match the ones"
-	@echo "                recorded for sim.EngineVersion, and a 2s fleet run"
-	@echo "                whose jobs must equal single-node runs (correct: true)"
+	@echo "                recorded for sim.EngineVersion, a 2s fleet run"
+	@echo "                whose jobs must equal single-node runs, and a 2s"
+	@echo "                serve run whose answers and cached bytes must check"
+	@echo "                out (each correct: true)"
 	@echo "  test          go test ./..."
 	@echo "  race          race detector over the shared-state packages"
 	@echo "  chaos         chaos suites under -race: WAL replay, torn journals,"
@@ -209,19 +211,22 @@ bench-vet:
 	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) vet ./...
 
 # The benchmark's own correctness checks, offline like bench-vet: its
-# metric-schema and tampered-figure tests, then two runs whose last lines
+# metric-schema and tampered-figure tests, then three runs whose last lines
 # must read "correct":true. A 1-second figures run still simulates all
 # three presets and checks them against the digests recorded for
 # sim.EngineVersion, so an engine change that moves one bit fails here. A
 # 2-second fleet run pushes whole jobs through a coordinator and two
 # workers, with hedging armed after its warm-up job, and checks every job
 # byte-identical to a single-node run and every replication folded exactly
-# once. The timing-based layerbench tests stay out: they are too noisy to
-# gate on.
+# once. A 2-second serve run resubmits its set-up bodies over HTTP, so the
+# daemon's repeat rung answers most of them: every hit must come back
+# cached and done, every approx query approx and done, and every cached
+# result byte-identical to what set-up fetched. The timing-based layerbench
+# tests stay out: they are too noisy to gate on.
 bench-check:
 	cd layerbench && GOWORK=off GOFLAGS=-buildvcs=false GOPROXY=off $(GO) test -count=1 \
 		-run 'TestBenchmarkJSONMatchesMetrics|TestTamperedFigureCountsAsFailed' ./...
-	@for run in "figures --seconds 1" "fleet --seconds 2"; do \
+	@for run in "figures --seconds 1" "fleet --seconds 2" "serve --seconds 2"; do \
 		last=$$(bash layerbench/run.sh --workload $$run --seed 1 | tail -n 1); \
 		case "$$last" in \
 		*'"correct":true'*) ;; \

@@ -78,7 +78,11 @@ func TestWatcherFleetRidesThroughDoubleCrash(t *testing.T) {
 	}
 
 	// Crash the daemon twice, each time after the sweep has durably
-	// checkpointed further progress, so both kills land mid-job.
+	// checkpointed further progress, so both kills land mid-job. progress
+	// is read after the kill: one sub-job delivery appends several records
+	// at once, and a count taken before the kill could already meet the
+	// next round's target, so the second daemon would be killed before it
+	// journaled its attempt.
 	ckpt := filepath.Join(dir, "jobs.wal.d", st.Fingerprint+".jsonl")
 	progress := 0
 	for round := 1; round <= 2; round++ {
@@ -92,8 +96,8 @@ func TestWatcherFleetRidesThroughDoubleCrash(t *testing.T) {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
-		progress = len(readCheckpointQuiet(ckpt))
 		d.sigkill(t)
+		progress = len(readCheckpointQuiet(ckpt))
 		d = startDaemon(t, bin, dir, d.addr, "-retry-budget", "5")
 	}
 

@@ -26,18 +26,22 @@ import (
 	"prioritystar/internal/sweep"
 )
 
-// each visits every cached entry; used to rebuild the anchor index at boot.
+// each visits every cached entry in the journal's record order; used to
+// rebuild the anchor index at boot.
 func (c *cache) each(fn func(key string, body []byte)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, b := range c.entries {
-		fn(k, b)
+	for _, k := range c.keys {
+		fn(k, c.entries[k])
 	}
 }
 
 // initApprox builds the manager's surrogate and forecaster from the config
 // and the freshly loaded cache. Called from newManager before any worker
-// starts.
+// starts. The index keeps the first anchor per (family, scheme, rho), so it
+// is fed in the order the results were cached, the order the live daemon
+// fed it (see manager.store): every boot over one cache answers alike, and
+// as the daemon that wrote it did.
 func (m *manager) initApprox() {
 	ix := surrogate.NewIndex()
 	fed := 0
@@ -63,22 +67,29 @@ func (m *manager) initApprox() {
 const approxRing = 1024
 
 // evalSurrogate evaluates and encodes the surrogate's answer to an
-// approx-mode submission. It runs without m.mu held.
-func (m *manager) evalSurrogate(exp *sweep.Experiment) ([]byte, error) {
+// approx-mode submission. It runs without m.mu held. gen is the index
+// generation (its anchor count) the answer was evaluated at, or -1 when an
+// anchor landed while it ran; the index only grows, so an unchanged count
+// means an unchanged index and the same answer.
+func (m *manager) evalSurrogate(exp *sweep.Experiment) (body []byte, gen int, err error) {
+	gen = m.ix.Anchors()
 	ev, err := m.sur.Evaluate(exp)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		body, err = ev.Encode(exp.Fingerprint, m.cfg.engine)
 	}
-	return ev.Encode(exp.Fingerprint, m.cfg.engine)
+	if m.ix.Anchors() != gen {
+		gen = -1
+	}
+	return body, gen, err
 }
 
-// answerLocked serves an approx-mode submission from its surrogate
-// evaluation (body, or err when the surrogate declined). Returns the
-// terminal status and true on success; the caller holds m.mu.
-func (m *manager) answerLocked(exp *sweep.Experiment, body []byte, err error) (JobStatus, bool) {
+// answerLocked serves an approx-mode submission of fingerprint fp from its
+// surrogate evaluation (body, or err when the surrogate declined). Returns
+// the terminal status and true on success; the caller holds m.mu.
+func (m *manager) answerLocked(fp string, body []byte, err error) (JobStatus, bool) {
 	if err != nil {
 		m.cfg.Metrics.Add("surrogate_fallbacks", 1)
-		m.logf("serve: surrogate fallback for %s: %v", exp.Fingerprint, err)
+		m.logf("serve: surrogate fallback for %s: %v", fp, err)
 		return JobStatus{}, false
 	}
 	m.cfg.Metrics.Add("surrogate_hits", 1)
@@ -88,7 +99,7 @@ func (m *manager) answerLocked(exp *sweep.Experiment, body []byte, err error) (J
 	m.answered++
 	t := now()
 	j := answer(JobStatus{ID: fmt.Sprintf("%s-a%d", m.bootID, m.answered), State: StateDone,
-		Fingerprint: exp.Fingerprint, Approx: true, SubmittedAt: t, FinishedAt: t}, body)
+		Fingerprint: fp, Approx: true, SubmittedAt: t, FinishedAt: t}, body)
 	m.answers[m.answered%approxRing] = j
 	return j.status, true
 }

@@ -36,6 +36,7 @@ type cache struct {
 	mu      sync.Mutex
 	path    string
 	entries map[string][]byte
+	keys    []string // entries' keys in the journal's record order
 	jnl     *journal.Writer
 	skipped int // corrupt records skipped at load
 }
@@ -55,6 +56,9 @@ func openCache(path, engine string, logf func(string, ...any)) (*cache, error) {
 		}
 		if rec.Key == "" || len(rec.Result) == 0 {
 			return errors.New("serve: cache record missing key or result")
+		}
+		if _, ok := c.entries[rec.Key]; !ok {
+			c.keys = append(c.keys, rec.Key)
 		}
 		c.entries[rec.Key] = rec.Result
 		return nil
@@ -100,6 +104,7 @@ func (c *cache) put(key string, result []byte) error {
 		return nil
 	}
 	c.entries[key] = result
+	c.keys = append(c.keys, key)
 	return c.jnl.Append(cacheRecord{
 		Key:     key,
 		Created: time.Now().UTC().Format(time.RFC3339),

@@ -17,6 +17,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
@@ -199,11 +200,16 @@ type manager struct {
 	active   map[string]*job  // fingerprint -> queued/running job
 	answers  [approxRing]*job // recent surrogate answers, by answered mod approxRing
 	answered uint64           // surrogate answers so far
+	repeats  repeats          // recently submitted bodies (see repeat.go)
 
 	queue   chan *job
 	wg      sync.WaitGroup
 	baseCtx context.Context
 	stop    context.CancelFunc
+
+	// storeMu orders the result cache and the surrogate index alike: an
+	// exact result is cached and indexed under it (see store).
+	storeMu sync.Mutex
 
 	// Surrogate serving and the Retry-After forecast (see approx.go). The
 	// index and forecaster are mutated under their own locks, not m.mu.
@@ -224,6 +230,7 @@ func newManager(cfg Config, c *cache, w *journal.Writer, ckptDir string, recover
 		bootID:  fmt.Sprintf("b%x", time.Now().UnixNano()),
 		jobs:    make(map[string]*job),
 		active:  make(map[string]*job),
+		repeats: repeats{seen: make(map[[sha256.Size]byte]repeat, approxRing)},
 		// Recovered jobs must all fit regardless of the configured cap:
 		// they were accepted by a previous process and may not be refused.
 		queue: make(chan *job, cfg.QueueCap+len(recovered)),
@@ -321,8 +328,10 @@ func (m *manager) logf(format string, args ...any) {
 func now() string { return time.Now().UTC().Format(time.RFC3339) }
 
 // submit resolves one submission: cache hit, single-flight dedup, surrogate
-// answer, or a new queued job; the returned status says which.
-func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
+// answer, or a new queued job; the returned status says which. key, when
+// non-nil, is the submitted body's SHA-256: a cache hit or a surrogate
+// answer is remembered under it for the repeat rung.
+func (m *manager) submit(exp *sweep.Experiment, key *[sha256.Size]byte) (JobStatus, error) {
 	fp := exp.Fingerprint
 	if fp == "" {
 		return JobStatus{}, fmt.Errorf("serve: experiment has no fingerprint")
@@ -331,8 +340,9 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	// it; the answer is used only if the cache and dedup rungs do not answer.
 	var approx []byte
 	var approxErr error
+	gen := -1
 	if exp.Approx && !m.cfg.NoApprox {
-		approx, approxErr = m.evalSurrogate(exp)
+		approx, gen, approxErr = m.evalSurrogate(exp)
 	}
 
 	m.mu.Lock()
@@ -342,12 +352,12 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	}
 	m.observeQueue()
 
-	// Content-addressed hit: answer from the cache without running or
-	// recording anything. The fingerprint is the handle (see get).
+	// Content-addressed hit: answer from the cache without running
+	// anything or keeping a job record. The fingerprint is the handle (see
+	// get).
 	if _, ok := m.cache.get(fp); ok {
-		m.cfg.Metrics.Add("cache_hits", 1)
-		t := now()
-		return JobStatus{ID: fp, State: StateDone, Fingerprint: fp, Cached: true, SubmittedAt: t, FinishedAt: t}, nil
+		m.rememberLocked(key, repeat{fp: fp})
+		return m.hitLocked(fp), nil
 	}
 	m.cfg.Metrics.Add("cache_misses", 1)
 
@@ -363,7 +373,10 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 	// After the cache and dedup checks so an exact result (present or in
 	// flight) always wins over an approximation of it.
 	if exp.Approx && !m.cfg.NoApprox {
-		if st, ok := m.answerLocked(exp, approx, approxErr); ok {
+		if st, ok := m.answerLocked(fp, approx, approxErr); ok {
+			if gen >= 0 {
+				m.rememberLocked(key, repeat{fp: fp, answer: approx, gen: gen})
+			}
 			return st, nil
 		}
 	}
@@ -407,6 +420,15 @@ func (m *manager) submit(exp *sweep.Experiment) (JobStatus, error) {
 		}
 	}
 	return st, nil
+}
+
+// hitLocked answers a submission of fingerprint fp from the result cache,
+// which holds it: a terminal status whose ID is the fingerprint (see get),
+// with no job record. The caller holds m.mu.
+func (m *manager) hitLocked(fp string) JobStatus {
+	m.cfg.Metrics.Add("cache_hits", 1)
+	t := now()
+	return JobStatus{ID: fp, State: StateDone, Fingerprint: fp, Cached: true, SubmittedAt: t, FinishedAt: t}
 }
 
 // answer is a terminal view of a result that was never queued: a cache hit
@@ -461,8 +483,11 @@ func (m *manager) cancelJob(j *job) {
 	} else if queued {
 		// Not started yet: mark so the worker skips it. The update closure
 		// re-checks the state under the job lock, so a worker that started
-		// the job in the meantime wins and keeps running.
+		// the job in the meantime wins and keeps running. m.mu is held
+		// across the update and the retirement (see finish), so no
+		// submission or inflight read sees the canceled job still in flight.
 		canceled := false
+		m.mu.Lock()
 		j.update(func(s *JobStatus) {
 			if s.State == StateQueued {
 				s.State = StateCanceled
@@ -471,9 +496,12 @@ func (m *manager) cancelJob(j *job) {
 			}
 		})
 		if canceled {
+			m.finishLocked(j)
+		}
+		m.mu.Unlock()
+		if canceled {
 			m.walTerminal(j)
 			m.cfg.Metrics.Add("jobs_canceled", 1)
-			m.finish(j)
 		}
 	}
 }
@@ -554,7 +582,6 @@ const (
 func (m *manager) run(j *job) {
 	for {
 		if m.runAttempt(j) == attemptTerminal {
-			m.finish(j)
 			return
 		}
 		m.cfg.Metrics.Add("job_retries", 1)
@@ -562,6 +589,8 @@ func (m *manager) run(j *job) {
 		case <-time.After(m.backoff(j.attempt)):
 		case <-m.baseCtx.Done():
 			// Aborted mid-backoff (drain deadline): the job dies canceled.
+			m.cfg.Metrics.Add("jobs_canceled", 1)
+			m.finish(j)
 			j.update(func(s *JobStatus) {
 				if !s.Terminal() {
 					s.State = StateCanceled
@@ -569,14 +598,13 @@ func (m *manager) run(j *job) {
 				}
 			})
 			m.walTerminal(j)
-			m.cfg.Metrics.Add("jobs_canceled", 1)
-			m.finish(j)
 			return
 		}
 	}
 }
 
-// runAttempt executes one attempt of one job.
+// runAttempt executes one attempt of one job. Every terminal verdict has
+// retired the job (see finish).
 func (m *manager) runAttempt(j *job) attemptVerdict {
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	defer cancel()
@@ -597,6 +625,7 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 		}
 	})
 	if !started {
+		m.finish(j) // a no-op after cancelJob, which retired it
 		return attemptTerminal
 	}
 	j.mu.Lock()
@@ -636,7 +665,11 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 		if body, e := encodeResult(j.fingerprint, m.cfg.engine, res); e != nil {
 			encErr = e
 		} else {
-			if cerr := m.cache.put(j.fingerprint, body); cerr != nil {
+			// The fresh exact result becomes interpolation anchors for
+			// future approx submissions in its family. Anchors and
+			// counters land before done is published, so a client that
+			// acts on done sees them.
+			if cerr := m.store(j.fingerprint, body, res); cerr != nil {
 				m.logf("serve: persisting result %s: %v", j.fingerprint, cerr)
 			}
 			totalSlots := (exp.Warmup + exp.Measure + exp.Drain) *
@@ -650,11 +683,6 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 					}
 				}
 			}
-			// The fresh exact result becomes interpolation anchors for
-			// future approx submissions in its family. Anchors and
-			// counters land before done is published, so a client that
-			// acts on done sees them.
-			m.ix.AddExact(res)
 			m.cfg.Metrics.Add("sim_runs", 1)
 			m.cfg.Metrics.Add("jobs_done", 1)
 			m.cfg.Metrics.Add("slots_simulated", totalSlots)
@@ -662,6 +690,7 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 			j.mu.Lock()
 			j.result = body
 			j.mu.Unlock()
+			m.finish(j)
 			j.update(func(s *JobStatus) {
 				s.State = StateDone
 				s.SlotsPerSec = sps
@@ -684,6 +713,7 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 	switch {
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		m.cfg.Metrics.Add("jobs_canceled", 1)
+		m.finish(j)
 		j.update(func(s *JobStatus) {
 			s.State = StateCanceled
 			s.Error = err.Error()
@@ -701,6 +731,7 @@ func (m *manager) runAttempt(j *job) attemptVerdict {
 		} else {
 			m.cfg.Metrics.Add("jobs_failed", 1)
 		}
+		m.finish(j)
 		j.update(func(s *JobStatus) {
 			s.State = state
 			s.Error = err.Error()
@@ -737,18 +768,34 @@ func (m *manager) walTerminal(j *job) {
 	}
 }
 
+// store caches an exact result and feeds it to the surrogate index, one
+// result at a time: the index takes results in the cache journal's record
+// order, which is the order initApprox replays at boot.
+func (m *manager) store(fp string, body []byte, res *sweep.Result) error {
+	m.storeMu.Lock()
+	defer m.storeMu.Unlock()
+	err := m.cache.put(fp, body)
+	m.ix.AddExact(res)
+	return err
+}
+
 // finish retires the job from the single-flight table and counts it as a
-// completion for the queue forecaster. A job canceled while queued or in
-// retry backoff passes through here twice, from cancelJob and again when
-// its worker reaches it; only the call that removes it counts.
+// completion for the queue forecaster. Every path to a terminal state
+// calls it before publishing that state, so a client acting on the state
+// never finds the job in flight: a resubmission of its spec is answered
+// from the cache, not deduped onto the finished job. A job canceled while
+// queued or in retry backoff passes through here twice, from cancelJob and
+// again when its worker reaches it; only the call that removes it counts.
 func (m *manager) finish(j *job) {
 	m.mu.Lock()
-	retired := m.active[j.fingerprint] == j
-	if retired {
+	defer m.mu.Unlock()
+	m.finishLocked(j)
+}
+
+// finishLocked is finish with m.mu held.
+func (m *manager) finishLocked(j *job) {
+	if m.active[j.fingerprint] == j {
 		delete(m.active, j.fingerprint)
-	}
-	m.mu.Unlock()
-	if retired {
 		m.fc.ObserveCompletion()
 	}
 }

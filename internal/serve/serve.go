@@ -9,7 +9,8 @@
 //
 //	POST   /v1/jobs            submit a spec; 200 answered (cache hit or
 //	                           surrogate) / 202 queued / 400 bad spec /
-//	                           429 queue full (Retry-After) / 503 draining
+//	                           413 body over 1 MiB / 429 queue full
+//	                           (Retry-After) / 503 draining
 //	GET    /v1/jobs            list queued jobs in submission order
 //	GET    /v1/jobs/{id}        one job's status; every {id} route also takes
 //	                           an answer's handle: a cache hit's fingerprint,
@@ -26,9 +27,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -184,6 +189,7 @@ func New(cfg Config) (*Server, error) {
 	// dashboards can read them unconditionally.
 	cfg.Metrics.Add("surrogate_hits", 0)
 	cfg.Metrics.Add("surrogate_fallbacks", 0)
+	cfg.Metrics.Add("submit_repeats", 0)
 	s := &Server{cfg: cfg, mgr: newManager(cfg, c, w, ckptDir, pending, maxSeq)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.instrument("submit", s.handleSubmit))
@@ -317,7 +323,11 @@ func (s *Server) Metrics() *obs.MetricSet { return s.cfg.Metrics }
 // Submit enqueues (or answers from cache) a decoded experiment; the
 // library-embedding twin of POST /v1/jobs. The experiment is fingerprinted
 // here if the caller has not stamped it.
-func (s *Server) Submit(e *spec.Experiment) (JobStatus, error) {
+func (s *Server) Submit(e *spec.Experiment) (JobStatus, error) { return s.admit(e, nil) }
+
+// admit is the full admission path. key, when non-nil, is the SHA-256 of
+// the submitted body, for the repeat window (see repeat.go).
+func (s *Server) admit(e *spec.Experiment, key *[sha256.Size]byte) (JobStatus, error) {
 	exp, err := e.ToSweep()
 	if err != nil {
 		return JobStatus{}, err
@@ -340,7 +350,7 @@ func (s *Server) Submit(e *spec.Experiment) (JobStatus, error) {
 			return JobStatus{}, err
 		}
 	}
-	return s.mgr.submit(exp)
+	return s.mgr.submit(exp, key)
 }
 
 // writeJSON writes v with the given status code.
@@ -356,13 +366,36 @@ type errorDoc struct {
 	Error string `json:"error"`
 }
 
+// maxSpecBytes caps a submitted body, which the handler reads whole to key
+// the repeat window; a spec document is well under 1 KiB.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Admission accounting: every submission lands in exactly one of
 	// submits_total = accepted (jobs_queued) + cache_hits + jobs_deduped +
-	// surrogate_hits + rejected. The load harness cross-checks its
-	// client-side view against these counters after a run.
+	// surrogate_hits + rejected; an oversized body counts as a bad spec.
+	// The load harness cross-checks its client-side view against these
+	// counters after a run.
 	s.cfg.Metrics.Add("submits_total", 1)
-	dec := json.NewDecoder(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		s.cfg.Metrics.Add("submits_rejected_badspec", 1)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorDoc{Error: fmt.Sprintf("reading spec: %v", err)})
+		return
+	}
+	// The repeat rung: a body seen before is answered from what it resolved
+	// to, without decoding or fingerprinting it again.
+	key := sha256.Sum256(body)
+	if st, ok := s.mgr.repeat(key); ok {
+		writeJSON(w, http.StatusOK, st)
+		return
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	var e spec.Experiment
 	if err := dec.Decode(&e); err != nil {
@@ -370,7 +403,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("decoding spec: %v", err)})
 		return
 	}
-	st, err := s.Submit(&e)
+	st, err := s.admit(&e, &key)
 	switch {
 	case err == nil:
 	case err == errQueueFull:

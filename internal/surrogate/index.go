@@ -115,7 +115,8 @@ func (ix *Index) Results() int {
 // insert adds one anchor under (family, scheme), keeping the slice sorted
 // by rho. Like the result cache, the first write wins: re-adding the same
 // (family, scheme, rho) is a no-op, so reloading a journal never flaps the
-// surrogate's answers.
+// surrogate's answers. The grown slice is a new one: lookup's callers read
+// the old one without the lock.
 func (ix *Index) insert(family, scheme string, a anchor) {
 	schemes := ix.families[family]
 	if schemes == nil {
@@ -127,10 +128,11 @@ func (ix *Index) insert(family, scheme string, a anchor) {
 	if i < len(as) && as[i].rho == a.rho {
 		return
 	}
-	as = append(as, anchor{})
-	copy(as[i+1:], as[i:])
-	as[i] = a
-	schemes[scheme] = as
+	grown := make([]anchor, len(as)+1)
+	copy(grown, as[:i])
+	grown[i] = a
+	copy(grown[i+1:], as[i:])
+	schemes[scheme] = grown
 	ix.anchors++
 }
 

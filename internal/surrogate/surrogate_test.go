@@ -380,3 +380,39 @@ func TestDifferentialAccuracy(t *testing.T) {
 func specJSON(doc *spec.Experiment) ([]byte, error) {
 	return json.Marshal(doc)
 }
+
+// TestEvaluateWhileIndexGrows: an evaluation reads the anchors lookup hands
+// it after the index lock is released, so insert must never shift them in
+// place. Each new anchor lands first in rho order, where an in-place insert
+// would move every anchor a concurrent evaluation is reading; -race
+// reports that.
+func TestEvaluateWhileIndexGrows(t *testing.T) {
+	ix := NewIndex()
+	e := exp(t, "0.5", "")
+	var docs [][]byte
+	for i := 0; i < 200; i++ {
+		docs = append(docs, []byte(sampleDoc(t, e, 0.9-float64(i)*0.004)))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, d := range docs {
+			if err := ix.AddResult(d); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	sg := New(ix)
+	for {
+		select {
+		case <-done:
+			if got := ix.Anchors(); got != len(docs) {
+				t.Errorf("index holds %d anchors, want %d", got, len(docs))
+			}
+			return
+		default:
+			sg.Evaluate(e) // the answer does not matter, only the reads
+		}
+	}
+}
